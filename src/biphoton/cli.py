@@ -440,6 +440,9 @@ def main(argv=None):
     except ContractError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT
+    except UnicodeDecodeError as e:
+        print(f"error: input is not UTF-8 text: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

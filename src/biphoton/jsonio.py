@@ -75,14 +75,35 @@ def complex_to_json(z):
     return {"re": z.real, "im": z.imag}
 
 
+def finite_number(value, what):
+    """Return value if it is a finite JSON number (not a boolean).
+
+    Raises ValueError for anything else: strings, containers, NaN, the
+    infinities and integers too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
 def complex_from_json(obj):
-    """Accept a plain number, an [re, im] pair or an {re, im} object."""
-    if isinstance(obj, bool):
-        raise ValueError("booleans are not amplitudes")
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+    """Accept a plain number, an [re, im] pair or an {re, im} object.
+
+    Both parts must be finite numbers; anything else raises ValueError.
+    """
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, dict) and set(obj) == {"re", "im"}:
-        return complex(float(obj["re"]), float(obj["im"]))
-    raise ValueError(f"cannot read {obj!r} as a complex amplitude")
+        re, im = obj
+    elif isinstance(obj, dict) and set(obj) == {"re", "im"}:
+        re, im = obj["re"], obj["im"]
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        re, im = obj, 0.0
+    else:
+        raise ValueError(f"cannot read {obj!r} as a complex amplitude")
+    what = "amplitude part"
+    return complex(float(finite_number(re, what)), float(finite_number(im, what)))

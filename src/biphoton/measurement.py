@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import finite_number
 from .tensor import ConsistencyError, schmidt_number
 from . import qutrit as _qutrit
 from . import ququart as _ququart
@@ -51,6 +52,9 @@ QUQUART_SETTINGS = (
 
 SCHEMA = "coincidence/1"
 
+# the sampler draws the pair number through numpy, which takes int64
+MAX_PAIRS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -68,8 +72,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_pairs < 1:
-            raise ValueError("total_pairs must be at least 1")
+        if not 1 <= self.total_pairs <= MAX_PAIRS:
+            raise ValueError(f"total_pairs must lie in [1, {MAX_PAIRS}]")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must lie in (0, 1]")
         if self.basis not in BASES:
@@ -140,12 +144,20 @@ class CoincidenceRecord:
         for key in ("basis", "mode", "eta", "total_pairs", "counts"):
             if key not in d:
                 raise ValueError(f"record is missing the {key!r} field")
+        for key in ("basis", "mode"):
+            if not isinstance(d[key], str):
+                raise ValueError(f"record {key} must be a string, got {d[key]!r}")
+        if not isinstance(d["counts"], dict):
+            raise ValueError("record counts must be a JSON object")
+        total_pairs = finite_number(d["total_pairs"], "total_pairs")
+        if total_pairs != int(total_pairs):
+            raise ValueError(f"total_pairs must be an integer, got {total_pairs!r}")
         return cls(
             basis=d["basis"],
             mode=d["mode"],
-            eta=float(d["eta"]),
-            total_pairs=int(d["total_pairs"]),
-            counts=dict(d["counts"]),
+            eta=float(finite_number(d["eta"], "eta")),
+            total_pairs=int(total_pairs),
+            counts={k: finite_number(v, f"count {k!r}") for k, v in d["counts"].items()},
             seed=d.get("seed"),
         )
 

@@ -33,7 +33,11 @@ from .tensor import (
     schmidt_number,
     vn_entropy,
 )
-from .qutrit import ZeroState, concurrence as qutrit_concurrence, wavefunction as qutrit_wavefunction
+from .qutrit import (
+    concurrence as qutrit_concurrence,
+    unit_scale,
+    wavefunction as qutrit_wavefunction,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -98,10 +102,8 @@ def make_ququart(c1, c2, c3, c4):
 
     Phases pass through untouched.  Raises ZeroState for the zero vector.
     """
-    amps = [complex(c) for c in (c1, c2, c3, c4)]
+    amps = unit_scale((c1, c2, c3, c4))
     norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
-    if norm == 0.0:
-        raise ZeroState("cannot normalize the zero vector")
     return QuquartState(*(c / norm for c in amps))
 
 

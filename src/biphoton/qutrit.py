@@ -108,11 +108,24 @@ def make_qutrit(c1, c2, c3):
     Only the magnitude is rescaled; relative and global phases pass through
     untouched.  Raises ZeroState for the all-zero input.
     """
-    c1, c2, c3 = complex(c1), complex(c2), complex(c3)
+    c1, c2, c3 = unit_scale((c1, c2, c3))
     norm = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2 + abs(c3) ** 2)
-    if norm == 0.0:
-        raise ZeroState("cannot normalize the zero vector")
     return QutritState(c1 / norm, c2 / norm, c3 / norm)
+
+
+def unit_scale(amplitudes):
+    """Amplitudes divided by a power of two that puts their largest part in [1, 2).
+
+    Squaring them then neither overflows nor underflows, and because the
+    scale is a power of two, normalizing the result gives the same bits as
+    normalizing the input directly.  Raises ZeroState for the zero vector.
+    """
+    amps = [complex(c) for c in amplitudes]
+    peak = max(max(abs(c.real), abs(c.imag)) for c in amps)
+    if peak == 0.0:
+        raise ZeroState("cannot normalize the zero vector")
+    scale = math.ldexp(0.5, math.frexp(peak)[1])
+    return [c / scale for c in amps]
 
 
 def wavefunction(q):
@@ -208,9 +221,10 @@ def quantify(q):
     """Compute the entanglement quantifiers of a qutrit.
 
     Closed forms: C = |2 C1 C3 - C2^2|, K = 2/(2 - C^2), reduced eigenvalues
-    lambda_+- = (1 +- sqrt(1 - C^2))/2 and their entropy in bits.  K is
-    cross-checked at call time against 1/Tr(rho_r^2) with rho_r obtained by
-    an explicit partial trace of the 4x4 density matrix.
+    lambda_+- = (1 +- P)/2 with P the degree of polarization, and their
+    entropy in bits.  K is cross-checked at call time against 1/Tr(rho_r^2)
+    with rho_r obtained by an explicit partial trace of the 4x4 density
+    matrix.
     """
     c = concurrence(q)
     k = 2.0 / (2.0 - c * c)
@@ -219,9 +233,11 @@ def quantify(q):
         raise ConsistencyError(
             f"closed-form K={k!r} disagrees with partial-trace K={k_oracle!r}"
         )
-    root = math.sqrt(max(0.0, 1.0 - c * c))
-    lam_p = (1.0 + root) / 2.0
-    lam_m = (1.0 - root) / 2.0
+    # lambda_+- = (1 +- P)/2: P = sqrt(1 - C^2) by C^2 + P^2 = 1, but P from
+    # the amplitudes stays accurate where sqrt(1 - C^2) loses half the digits
+    p = min(1.0, math.hypot(*_polarization_vector(q)))
+    lam_p = (1.0 + p) / 2.0
+    lam_m = (1.0 - p) / 2.0
     return EntanglementReport(
         schmidt_k=k,
         concurrence=c,
@@ -269,20 +285,18 @@ def schmidt_decompose(q):
     return schmidt_from_symmetric(amplitude_matrix(q))
 
 
+def _polarization_vector(q):
+    cross = q.c1 * q.c2.conjugate() + q.c2 * q.c3.conjugate()
+    return (SQRT2 * cross.real, -SQRT2 * cross.imag, abs(q.c1) ** 2 - abs(q.c3) ** 2)
+
+
 def polarization(q):
     """Single-photon polarization vector xi = Tr(rho_r sigma) and its degree P.
 
     The anti-correlation C^2 + P^2 = 1 with the concurrence is verified at
     call time.
     """
-    cross = q.c1 * np.conj(q.c2) + q.c2 * np.conj(q.c3)
-    xi = np.array(
-        [
-            SQRT2 * cross.real,
-            -SQRT2 * cross.imag,
-            abs(q.c1) ** 2 - abs(q.c3) ** 2,
-        ]
-    )
+    xi = np.array(_polarization_vector(q))
     p = float(np.linalg.norm(xi))
     c = concurrence(q)
     if abs(c * c + p * p - 1.0) > ORACLE_TOL:

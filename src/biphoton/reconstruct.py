@@ -5,8 +5,11 @@ says nothing about phases.  Repeating the measurement in the 45-degree
 polarizer frame adds interference information: the rotated magnitudes obey
 a small set of cosine equations in the original phases.  This module turns
 a (natural, rotated45) record pair into magnitude estimates and solves those
-equations for the phases by an exhaustive torus grid search refined with
-local least squares.
+equations for the phases: closed forms (+-acos branches, and for a ququart
+a bisection along the curve one equation draws in two phase differences)
+give every candidate root, and damped Gauss-Newton steps with the analytic
+Jacobian polish each on the full equations, fitting noisy records in the
+least-squares sense.
 
 Phase conventions (gauges):
 
@@ -25,11 +28,11 @@ returned, the canonical one first (lexicographically smallest phases modulo
 2 pi), the rest as alternates.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .jsonio import complex_to_json
 from .measurement import BASES, QUTRIT_SETTINGS, QUQUART_SETTINGS
@@ -47,10 +50,6 @@ RESIDUAL_CEILING = 0.05
 # statistical sigmas instead (capped, so a tiny record cannot zero everything)
 IDEAL_ZERO_MAG = 1e-4
 SAMPLED_ZERO_CAP = 0.3
-
-# grid resolutions for the torus search
-QUTRIT_GRID = 64
-QUQUART_GRID = 32
 
 # two solutions closer than this in overlap deficit are the same state
 OVERLAP_DEDUPE = 1e-8
@@ -178,6 +177,8 @@ def magnitudes_from_record(rec, kind=None):
     total = sum(counts.values())
     if total <= 0:
         raise MalformedRecord("record holds no coincidences")
+    if not math.isfinite(total):
+        raise MalformedRecord("coincidence counts overflow their sum")
     w = {s: v / total for s, v in counts.items()}
     if kind == "qutrit":
         sq = np.array([w["H|H"], w["H|V"] + w["V|H"], w["V|V"]])
@@ -298,124 +299,89 @@ def _rms(eqs):
 
 
 # ---------------------------------------------------------------------------
-# torus grid search with local refinement
+# closed-form candidates, polished on the full equations
 # ---------------------------------------------------------------------------
+
+# the amplitude pairs of ququart_phase_equations, two per equation
+_QUQUART_PAIRS = ((0, 2), (1, 3), (0, 1), (2, 3), (0, 3), (1, 2))
+_PAIR_A, _PAIR_B = np.array(_QUQUART_PAIRS).T
+# d(p_a - p_b)/dp for each pair, grouped by equation
+_INCIDENCE = (np.eye(4)[_PAIR_B] - np.eye(4)[_PAIR_A]).reshape(3, 2, 4)
+
+# the polish stops once no step moves a phase by STEP_TOL radians, and after
+# POLISH_STEPS at the latest; at a double root (real amplitudes) a step only
+# halves the distance
+STEP_TOL = 1e-12
+POLISH_STEPS = 60
+
 
 def _wrap(x):
     return (np.asarray(x, dtype=float) + math.pi) % TWO_PI - math.pi
 
 
-def _lm_polish(resid_fn, x0):
-    sol = least_squares(
-        resid_fn, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-        max_nfev=400,
-    )
-    return _wrap(sol.x), float(np.sqrt(np.mean(sol.fun ** 2)))
+def _acos(x):
+    return np.arccos(np.clip(x, -1.0, 1.0))
 
 
-def _numeric_jacobian(resid_fn, x, h=1e-6):
-    cols = []
-    for d in range(x.size):
-        step = np.zeros_like(x)
-        step[d] = h
-        cols.append((np.asarray(resid_fn(x + step)) -
-                     np.asarray(resid_fn(x - step))) / (2 * h))
-    return np.column_stack(cols)
+def _qutrit_jacobian(m, phi1, phi3):
+    """Derivatives of qutrit_phase_equations by (phi1, phi3), shape (..., 2, 2)."""
+    m1, m2, m3 = m
+    cross = m1 * m3 * np.sin(phi1 - phi3)
+    outer = -SQRT2 * m2 * np.array([m1 * np.sin(phi1), m3 * np.sin(phi3)])
+    return np.moveaxis(np.array([[cross, -cross], list(outer)]), (0, 1), (-2, -1))
 
 
-def _known_phase(x, seen):
-    return any(float(np.max(np.abs(_wrap(x - s)))) < 1e-6 for s in seen)
+def _ququart_jacobian(m, phases):
+    """Derivatives of ququart_phase_equations by (p1..p4), shape (..., 3, 4)."""
+    p = np.stack(np.broadcast_arrays(*phases), axis=-1)
+    t = m[_PAIR_A] * m[_PAIR_B] * np.sin(p[..., _PAIR_A] - p[..., _PAIR_B])
+    return np.einsum("...ep,epj->...ej", t.reshape(t.shape[:-1] + (3, 2)), _INCIDENCE)
 
 
-# seed offsets for the fold-completion sweep; spans twin separations from
-# roughly 0.01 to 0.8 rad
-_FOLD_STEPS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
+def _polish(fun, x):
+    """Damped Gauss-Newton (Levenberg) steps on a batch of starting points.
 
-
-def _complete_folds(resid_fn, entries, noise_scale):
-    """Chase twin solutions hiding in an already-found solution's basin.
-
-    Zeros of the phase system can come in close pairs (a fold about to
-    merge); the grid then seeds only one member and refinement lands on it,
-    silently dropping its twin.  At such a zero the Jacobian is nearly
-    singular and the twin lies along its smallest singular direction, so a
-    deterministic fan of refinement starts along that line recovers it.
+    fun maps phases x of shape (k, d) to the residuals (k, e) and their
+    Jacobian (k, e, d).  A step is kept only where it lowers the squared
+    residual; the damping shrinks after a kept step and grows after a
+    rejected one.
     """
-    best = min(r for _, r in entries)
-    if best > RESIDUAL_CEILING:
-        return entries
-    cutoff = _keep_threshold(best, noise_scale)
-    ordered = sorted(enumerate(entries), key=lambda ke: (ke[1][1], ke[0]))
-    uniq = []
-    for _, (x, r) in ordered:
-        if r <= cutoff and not _known_phase(x, [u for u, _ in uniq]):
-            uniq.append((x, r))
-    uniq = uniq[:16]
-    seen = [x for x, _ in uniq]
-    queue = list(seen)
-    out = list(entries)
-    for _ in range(2):
-        if not queue:
+    r, jac = fun(x)
+    cost = np.sum(r * r, axis=1)
+    damping = np.full(len(x), 1e-3)
+    eye = np.eye(x.shape[1])
+    for _ in range(POLISH_STEPS):
+        jt = np.swapaxes(jac, 1, 2)
+        jtj = jt @ jac
+        # the damping is relative to the size of J^T J, and its floors keep a
+        # singular J^T J (a double root, or J = 0) solvable
+        shift = damping * np.trace(jtj, axis1=1, axis2=2) + 1e-30
+        step = np.linalg.solve(jtj + shift[:, None, None] * eye, jt @ r[..., None])[..., 0]
+        if np.max(np.abs(step), initial=0.0) < STEP_TOL:
             break
-        new = []
-        for x0 in queue:
-            jac = _numeric_jacobian(resid_fn, x0)
-            v = np.linalg.svd(jac)[2][-1]
-            for t in _FOLD_STEPS:
-                for sign in (1.0, -1.0):
-                    x, r = _lm_polish(resid_fn, x0 + sign * t * v)
-                    if r <= cutoff and not _known_phase(x, seen):
-                        seen.append(x)
-                        new.append(x)
-                        out.append((x, r))
-        queue = new
-    return out
-
-
-def _refine_minima(rms_grid_fn, resid_fn, ndim, grid_n, noise_scale=0.0,
-                   max_candidates=200):
-    """All local minima of a periodic least-squares problem, refined.
-
-    The rms residual is evaluated on a regular ndim-torus grid, every point
-    at or below all its axis neighbours (wraparound included) seeds a local
-    least-squares refinement, and the refined phase vectors are returned with
-    their residuals.  A completion sweep then probes each solution for fold
-    twins the grid cannot separate.  Fully deterministic for fixed input.
-    """
-    axes = [
-        np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
-        for _ in range(ndim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r = rms_grid_fn(mesh)
-    mask = np.ones(r.shape, dtype=bool)
-    for ax in range(ndim):
-        for shift in (1, -1):
-            mask &= r <= np.roll(r, shift, axis=ax)
-    cand = np.argwhere(mask)
-    # deterministic order: best residual first, then lexicographic position
-    keys = [r[tuple(cand.T)]] + [cand[:, i] for i in range(ndim)]
-    order = np.lexsort(tuple(reversed(keys)))
-    cand = cand[order][:max_candidates]
-    out = []
-    for idx in cand:
-        x0 = np.array([axes[d][i] for d, i in enumerate(idx)], dtype=float)
-        out.append(_lm_polish(resid_fn, x0))
-    if out:
-        out = _complete_folds(resid_fn, out, noise_scale)
-    return out
+        # wrapped, so that a long step across a near-singular J keeps the
+        # phases precise
+        x_new = _wrap(x - step)
+        r_new, jac_new = fun(x_new)
+        cost_new = np.sum(r_new * r_new, axis=1)
+        ok = cost_new < cost
+        x = np.where(ok[:, None], x_new, x)
+        r = np.where(ok[:, None], r_new, r)
+        jac = np.where(ok[:, None, None], jac_new, jac)
+        cost = np.where(ok, cost_new, cost)
+        damping = np.where(ok, np.maximum(damping * 0.1, 1e-14), damping * 10.0)
+    return x
 
 
 def _rank_solutions(entries, noise_scale):
     """Filter, dedupe and order refined solutions.
 
-    entries: list of (state, residual, display_phases).  Raises Inconsistent
-    when nothing survives the residual ceiling.  Returns the survivors in
-    canonical order (lexicographically smallest display phases modulo 2 pi),
-    physically identical duplicates removed.
+    entries: non-empty list of (state, residual, display_phases).  Raises
+    Inconsistent when nothing survives the residual ceiling.  Returns the
+    survivors in canonical order (lexicographically smallest display phases
+    modulo 2 pi), physically identical duplicates removed in favour of the
+    one with the smallest residual.
     """
-    if not entries:
-        raise Inconsistent("phase search produced no candidates")
     best = min(e[1] for e in entries)
     if best > RESIDUAL_CEILING:
         raise Inconsistent(
@@ -423,21 +389,88 @@ def _rank_solutions(entries, noise_scale):
             best_residual=best,
         )
     keep = [e for e in entries if e[1] <= _keep_threshold(best, noise_scale)]
-    keep.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
+    keep.sort(key=lambda e: e[1])
     out = []
+    seen = np.zeros((len(keep), len(keep[0][0].amplitudes)), dtype=complex)
     for st, r, ph in keep:
-        dup = any(
-            abs(np.vdot(st.amplitudes, o.amplitudes)) >= 1.0 - OVERLAP_DEDUPE
-            for o, _, _ in out
-        )
-        if not dup:
+        overlap = np.abs(seen[:len(out)] @ st.amplitudes)
+        if np.max(overlap, initial=0.0) < 1.0 - OVERLAP_DEDUPE:
+            seen[len(out)] = np.conj(st.amplitudes)
             out.append((st, r, ph))
+    out.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
     return out
+
+
+def _prepare(est, kind):
+    _require_both(est)
+    if est.kind != kind:
+        raise ValueError(f"estimate is for a {est.kind}, not a {kind}")
+    m = np.asarray(est.magnitudes, dtype=float)
+    n = np.asarray(est.magnitudes45, dtype=float)
+    return m, n, m < _zero_threshold(est), list(est.warnings)
+
+
+def _pinned_warning(zero):
+    pinned = [i + 1 for i in range(len(zero)) if zero[i]]
+    return f"amplitudes {pinned} below the zero threshold; their phases are pinned to 0"
+
+
+def _solve(est, basis, x0, equations, jacobian, build):
+    """Polish the candidate rows x0 and rank the results.
+
+    The phases the equations take are x @ basis, so pinned phases stay 0.
+    """
+    def fun(x):
+        p = list((x @ basis).T)
+        return np.stack(equations(p), axis=-1), jacobian(p) @ basis.T
+
+    entries = []
+    for x in _polish(fun, x0):
+        p = [float(v) for v in _wrap(x @ basis)]
+        entries.append((build(p), float(_rms(equations(p))), tuple(p)))
+    return _rank_solutions(entries, est.noise_scale)
+
+
+def _result(kind, ranked, gauge, warnings):
+    states = [e[0] for e in ranked]
+    return ReconstructionResult(
+        kind=kind, state=states[0], residual=ranked[0][1],
+        alternates=states[1:], gauge=gauge, warnings=warnings,
+    )
 
 
 # ---------------------------------------------------------------------------
 # qutrit phases
 # ---------------------------------------------------------------------------
+
+def _qutrit_candidates(m, n, free):
+    """Every root of the qutrit equations in closed form; rows hold the free phases.
+
+    With both outer phases free, e1 fixes delta = phi1 - phi3 up to sign and
+    e2 becomes |z| cos(phi3 + arg z) = (|C1(45)|^2 - |C3(45)|^2) / (sqrt(2) |C2|)
+    with z = |C3| + |C1| e^{i delta}.  With one pinned to 0, both equations
+    are linear in the cosine of the free phase.  Noise is clipped into range.
+    """
+    m1, m2, m3 = m
+    n1, n2, n3 = n
+    k1 = 0.5 * (m1 * m1 + m3 * m3) - n2 * n2
+    r45 = n1 * n1 - n3 * n3
+    if not free:
+        return np.zeros((1, 0))
+    if len(free) == 2:
+        out = []
+        for delta in np.array([1.0, -1.0]) * _acos(k1 / (m1 * m3)):
+            z = m3 + m1 * np.exp(1j * delta)
+            beta = _acos(r45 / (SQRT2 * m2 * max(abs(z), 1e-300)))
+            out += [(phi3 + delta, phi3) for phi3 in (beta - np.angle(z), -beta - np.angle(z))]
+        return np.array(out)
+    # e1 = k1 - m1 m3 cos x and e2 = sqrt(2) m2 (m_free cos x + m_pinned) - r45;
+    # take the least-squares cos x
+    m_free, m_pinned = (m1, m3) if free == [0] else (m3, m1)
+    coef = np.array([-m1 * m3, SQRT2 * m2 * m_free])
+    rhs = np.array([-k1, r45 - SQRT2 * m2 * m_pinned])
+    return np.array([[1.0], [-1.0]]) * _acos(coef @ rhs / (coef @ coef))
+
 
 def qutrit_phases(est):
     """Solve the qutrit phase equations from a two-basis magnitude estimate.
@@ -449,46 +482,27 @@ def qutrit_phases(est):
     outer amplitudes are present (then only |phi1 - phi3| is recoverable and
     the partial result rides on the exception).
     """
-    _require_both(est)
-    if est.kind != "qutrit":
-        raise ValueError(f"estimate is for a {est.kind}, not a qutrit")
-    m = np.asarray(est.magnitudes, dtype=float)
-    n = np.asarray(est.magnitudes45, dtype=float)
-    thr = _zero_threshold(est)
-    warnings = list(est.warnings)
-    zero = m < thr
+    m, n, zero, warnings = _prepare(est, "qutrit")
+
+    def build(phi):
+        return QutritState(m[0] * np.exp(1j * phi[0]), m[1], m[2] * np.exp(1j * phi[1]))
 
     if zero[1] and not zero[0] and not zero[2]:
         # no interference term: only cos(phi1 - phi3) is fixed, sign and all
-        val = (0.5 * (m[0] ** 2 + m[2] ** 2) - n[1] ** 2) / (m[0] * m[2])
-        psi = math.acos(min(1.0, max(-1.0, val)))
+        psi = float(_acos((0.5 * (m[0] ** 2 + m[2] ** 2) - n[1] ** 2) / (m[0] * m[2])))
         pairs = [(psi / 2.0, -psi / 2.0)]
         if math.sin(psi) > 1e-12:
             pairs.append((-psi / 2.0, psi / 2.0))
-        entries = []
-        for phi1, phi3 in pairs:
-            st = QutritState(
-                m[0] * np.exp(1j * phi1), m[1], m[2] * np.exp(1j * phi3)
-            )
-            r = float(_rms(qutrit_phase_equations(m, n, phi1, phi3)))
-            entries.append((st, r, (phi1, phi3)))
+        entries = [(build(ph), float(_rms(qutrit_phase_equations(m, n, *ph))), ph)
+                   for ph in pairs]
         entries.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
-        states = [e[0] for e in entries]
         warnings.append(
             "interference amplitude below threshold: only the relative phase "
             "phi1 - phi3 is observable, up to sign"
         )
-        result = ReconstructionResult(
-            kind="qutrit",
-            state=states[0],
-            residual=entries[0][1],
-            alternates=states[1:],
-            gauge="phi3 = -phi1 (C2 below threshold)",
-            warnings=warnings,
-        )
         raise PhaseUnobservable(
             "C2 below threshold: phases only observable through phi1 - phi3",
-            result=result,
+            result=_result("qutrit", entries, "phi3 = -phi1 (C2 below threshold)", warnings),
         )
 
     # a phase is solvable only when its amplitude and an interference partner
@@ -497,66 +511,130 @@ def qutrit_phases(est):
     a3 = (not zero[2]) and (not zero[1] or not zero[0])
     free = [slot for slot, act in ((0, a1), (1, a3)) if act]
     if zero.any():
-        pinned = [i + 1 for i in range(3) if zero[i]]
-        warnings.append(
-            f"amplitudes {pinned} below the zero threshold; "
-            "their phases are pinned to 0"
-        )
-
-    def phases_of(x):
-        phi = [0.0, 0.0]
-        for slot, val in zip(free, x):
-            phi[slot] = val
-        return phi
-
-    if not free:
-        phi1, phi3 = 0.0, 0.0
-        st = QutritState(m[0], m[1], m[2])
-        r = float(_rms(qutrit_phase_equations(m, n, phi1, phi3)))
-        if r > RESIDUAL_CEILING:
-            raise Inconsistent(
-                f"records do not fit any qutrit (rms mismatch {r:.4g})",
-                best_residual=r,
-            )
-        return ReconstructionResult(
-            kind="qutrit", state=st, residual=r, alternates=[],
-            gauge="phi2 = 0 (C2 real non-negative)", warnings=warnings,
-        )
-
-    def rms_grid(mesh):
-        phi1, phi3 = phases_of(mesh)
-        return _rms(qutrit_phase_equations(m, n, phi1, phi3))
-
-    def resid(x):
-        phi1, phi3 = phases_of(x)
-        return np.array(qutrit_phase_equations(m, n, phi1, phi3))
-
-    refined = _refine_minima(
-        rms_grid, resid, ndim=len(free), grid_n=QUTRIT_GRID,
-        noise_scale=est.noise_scale,
+        warnings.append(_pinned_warning(zero))
+    ranked = _solve(
+        est, np.eye(2)[free], _qutrit_candidates(m, n, free),
+        lambda p: qutrit_phase_equations(m, n, *p),
+        lambda p: _qutrit_jacobian(m, *p), build,
     )
-    entries = []
-    for x, r in refined:
-        phi1, phi3 = phases_of(x)
-        st = QutritState(
-            m[0] * np.exp(1j * phi1), m[1], m[2] * np.exp(1j * phi3)
-        )
-        entries.append((st, r, (phi1, phi3)))
-    ranked = _rank_solutions(entries, est.noise_scale)
-    states = [e[0] for e in ranked]
-    return ReconstructionResult(
-        kind="qutrit",
-        state=states[0],
-        residual=ranked[0][1],
-        alternates=states[1:],
-        gauge="phi2 = 0 (C2 real non-negative)",
-        warnings=warnings,
-    )
+    return _result("qutrit", ranked, "phi2 = 0 (C2 real non-negative)", warnings)
 
 
 # ---------------------------------------------------------------------------
 # ququart phases
 # ---------------------------------------------------------------------------
+
+# sample points per chart of the e2 curve, and bisection steps per bracket
+# (512 points are 0.012 rad apart; 40 halvings take that below 1e-14)
+CURVE_POINTS = 512
+BISECTIONS = 40
+
+
+def _w_system(m, rhs, u, v):
+    """e1 and e3 as M (cos w, sin w) = (N1, N3), for u = p1 - p2, v = p3 - p4.
+
+    Here w = p1 - p3.  Returns the rows of M, adj(M) (N1, N3) and det(M):
+    the solution lies on the unit circle where |adj(M) N|^2 = det(M)^2.
+    """
+    m1, m2, m3, m4 = m
+    a11, a12 = m1 * m3 + m2 * m4 * np.cos(v - u), -m2 * m4 * np.sin(v - u)
+    a21 = m1 * m4 * np.cos(v) + m2 * m3 * np.cos(u)
+    a22 = m2 * m3 * np.sin(u) - m1 * m4 * np.sin(v)
+    adj = (a22 * rhs[0] - a12 * rhs[2], a11 * rhs[2] - a21 * rhs[0])
+    return (a11, a12), (a21, a22), adj, a11 * a22 - a12 * a21
+
+
+def _chart_point(m, rhs, t, free, sign):
+    """Point (u, v) of the e2 curve m1 m2 cos u + m3 m4 cos v = N2.
+
+    t is u where free is 0, else v; the other angle is sign * acos(...).
+    Also returns |adj(M) N|^2 - det(M)^2 there (see _w_system) and whether
+    the point is feasible with a slope of at most 2 in t.
+    """
+    coef_u, coef_v = m[0] * m[1], m[2] * m[3]
+    cf, cd = np.where(free, coef_v, coef_u), np.where(free, coef_u, coef_v)
+    arg = (rhs[1] - cf * np.cos(t)) / cd
+    dep = sign * _acos(arg)
+    u, v = np.where(free, dep, t), np.where(free, t, dep)
+    _, _, (c, s), det = _w_system(m, rhs, u, v)
+    ok = (np.abs(arg) <= 1.0 + 1e-12) & (
+        np.abs(cf * np.sin(t)) <= 2.0 * np.abs(cd * np.sin(dep)))
+    return u, v, c * c + s * s - det * det, ok
+
+
+def _curve_roots(m, rhs):
+    """(u, v) on the e2 curve where the circle condition of _w_system holds.
+
+    The curve is walked in two overlapping charts, u free and v free, on
+    both acos branches and only where the slope is bounded; together they
+    cover all but the four critical points of e2.  Sign changes of the
+    circle gap on a fixed grid, the ends of the feasible arcs included, are
+    bisected; local minima of its magnitude seed near-tangencies.
+    """
+    grid = np.linspace(-math.pi, math.pi, CURVE_POINTS, endpoint=False)
+    coef = (m[0] * m[1], m[2] * m[3])
+    runs = []
+    for free in (0, 1):
+        ends = (rhs[1] - np.array([1.0, -1.0]) * coef[1 - free]) / coef[free]
+        ends = _acos(ends[np.abs(ends) <= 1.0])
+        t = np.sort(np.concatenate([grid, ends, -ends]))
+        t = np.append(t, t[0] + TWO_PI)
+        for sign in (1.0, -1.0):
+            runs.append((t, np.full(t.size, free), np.full(t.size, sign),
+                         np.arange(t.size) > 0))
+    t, free, sign, joined = (np.concatenate(a) for a in zip(*runs))
+    _, _, g, ok = _chart_point(m, rhs, t, free, sign)
+    pair = ok[:-1] & ok[1:] & joined[1:]
+    cross = pair & (g[:-1] * g[1:] <= 0.0)
+    lo, hi, g_lo = t[:-1][cross], t[1:][cross], g[:-1][cross]
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        g_mid = _chart_point(m, rhs, mid, free[:-1][cross], sign[:-1][cross])[2]
+        left = g_lo * g_mid <= 0.0
+        hi, lo = np.where(left, mid, hi), np.where(left, lo, mid)
+        g_lo = np.where(left, g_lo, g_mid)
+    a = np.abs(g)
+    dip = np.zeros(t.size, dtype=bool)
+    dip[1:-1] = pair[:-1] & pair[1:] & (a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:])
+    seeds = np.concatenate([np.flatnonzero(cross), np.flatnonzero(dip)])
+    u, v, _, _ = _chart_point(m, rhs, np.concatenate([0.5 * (lo + hi), t[dip]]),
+                              free[seeds], sign[seeds])
+    return u, v
+
+
+def _ququart_candidates(m, n, active):
+    """Starting phases from closed forms; rows hold the phases of active[:-1].
+
+    All four present: every (u, v) from _curve_roots and every critical
+    point (u, v) in {0, pi}^2 of e2, where real amplitudes sit, comes with
+    both signs of the w that the better-scaled of e1 and e3 fixes.
+    Otherwise each phase difference to the first present amplitude is +-acos
+    from the one equation where the two share a term, ignoring the terms of
+    pinned amplitudes, or 0 or pi; noisy records can leave those terms large.
+    """
+    rhs = n[0] ** 2 + n[1:] ** 2 - 0.5
+    if len(active) == 4:
+        u, v = _curve_roots(m, rhs)
+        u = np.concatenate([u, [0.0, 0.0, math.pi, math.pi]])
+        v = np.concatenate([v, [0.0, math.pi, 0.0, math.pi]])
+        # at a root both e1 and e3 hold, so either fixes w up to sign, also
+        # where M is singular (always at the critical points)
+        row1, row3, _, _ = _w_system(m, rhs, u, v)
+        first = np.hypot(*row1) >= np.hypot(*row3)
+        a, b = np.where(first, row1[0], row3[0]), np.where(first, row1[1], row3[1])
+        span = _acos(np.where(first, rhs[0], rhs[2]) / np.maximum(np.hypot(a, b), 1e-300))
+        w = np.tile(np.arctan2(b, a), 2) + np.concatenate([span, -span])
+        u, v = np.tile(u, 2), np.tile(v, 2)
+        p1 = 0.25 * (u + v + 2.0 * w)
+        return np.stack([p1, p1 - u, p1 - w], axis=-1)
+    lead, rest = active[0], active[1:]
+    span = [float(_acos(rhs[_QUQUART_PAIRS.index((lead, j)) // 2] / (m[lead] * m[j])))
+            for j in rest]
+    phases = np.zeros((4 ** len(rest), 4))
+    phases[:, rest] = list(itertools.product(*((s, -s, 0.0, math.pi) for s in span)))
+    phases[:, active] -= phases[:, active].mean(axis=1, keepdims=True)
+    return phases[:, active[:-1]]
+
 
 def ququart_phases(est):
     """Solve the ququart phase equations from a two-basis magnitude estimate.
@@ -566,89 +644,35 @@ def ququart_phases(est):
     unobservable; the partial result (unobservable phases pinned to 0) then
     rides on a PhaseUnobservable exception.
     """
-    _require_both(est)
-    if est.kind != "ququart":
-        raise ValueError(f"estimate is for a {est.kind}, not a ququart")
-    m = np.asarray(est.magnitudes, dtype=float)
-    n = np.asarray(est.magnitudes45, dtype=float)
-    thr = _zero_threshold(est)
-    warnings = list(est.warnings)
-    zero = m < thr
+    m, n, zero, warnings = _prepare(est, "ququart")
     active = [i for i in range(4) if not zero[i]]
-
     if zero.any():
-        pinned = [i + 1 for i in range(4) if zero[i]]
-        warnings.append(
-            f"amplitudes {pinned} below the zero threshold; "
-            "their phases are pinned to 0"
-        )
+        warnings.append(_pinned_warning(zero))
 
-    def build_state(phases):
+    def build(phases):
         return QuquartState(*(m * np.exp(1j * np.asarray(phases))))
 
     if len(active) <= 1:
         phases = (0.0, 0.0, 0.0, 0.0)
-        st = build_state(phases)
         r = float(_rms(ququart_phase_equations(m, n, phases)))
-        result = ReconstructionResult(
-            kind="ququart", state=st, residual=r, alternates=[],
-            gauge="all phases pinned to 0 (at most one amplitude present)",
-            warnings=warnings,
-        )
         raise PhaseUnobservable(
             "at most one amplitude above threshold: no phase is observable",
-            result=result,
+            result=_result("ququart", [(build(phases), r, phases)],
+                           "all phases pinned to 0 (at most one amplitude present)", warnings),
         )
-
-    ndim = len(active) - 1
-    grid_n = {1: 256, 2: 64, 3: QUQUART_GRID}[ndim]
-
-    def phases_of(x):
-        # x holds the first len(active)-1 active phases; the last active one
-        # balances the sum to zero, pinned phases stay 0
-        phases = [0.0] * 4
-        total = 0.0
-        for idx, val in zip(active[:-1], x):
-            phases[idx] = val
-            total = total + val
-        phases[active[-1]] = -total
-        return phases
-
-    def rms_grid(mesh):
-        return _rms(ququart_phase_equations(m, n, phases_of(mesh)))
-
-    def resid(x):
-        return np.array(ququart_phase_equations(m, n, phases_of(x)))
-
-    refined = _refine_minima(
-        rms_grid, resid, ndim=ndim, grid_n=grid_n,
-        noise_scale=est.noise_scale,
-    )
-    entries = []
-    for x, r in refined:
-        phases = [float(_wrap(p)) for p in phases_of(x)]
-        entries.append((build_state(phases), r, tuple(phases)))
-    ranked = _rank_solutions(entries, est.noise_scale)
-    states = [e[0] for e in ranked]
-    if len(active) == 4:
-        gauge = "phi1 + phi2 + phi3 + phi4 = 0"
-    else:
-        names = "+".join(f"phi{i + 1}" for i in active)
-        gauge = f"{names} = 0, phases of below-threshold amplitudes pinned to 0"
-    result = ReconstructionResult(
-        kind="ququart",
-        state=states[0],
-        residual=ranked[0][1],
-        alternates=states[1:],
-        gauge=gauge,
-        warnings=warnings,
-    )
+    # the first len(active) - 1 present phases are free, the last one
+    # balances the sum to zero
+    basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
+    ranked = _solve(est, basis, _ququart_candidates(m, n, active),
+                    lambda p: ququart_phase_equations(m, n, p),
+                    lambda p: _ququart_jacobian(m, p), build)
+    names = "+".join(f"phi{i + 1}" for i in active)
+    gauge = (f"{names} = 0, phases of below-threshold amplitudes pinned to 0" if zero.any()
+             else "phi1 + phi2 + phi3 + phi4 = 0")
+    result = _result("ququart", ranked, gauge, warnings)
     if zero.any():
-        raise PhaseUnobservable(
-            "amplitudes below threshold leave some phase combinations "
-            "unobservable",
-            result=result,
-        )
+        raise PhaseUnobservable("amplitudes below threshold leave some phase "
+                                "combinations unobservable", result=result)
     return result
 
 

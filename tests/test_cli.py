@@ -295,3 +295,72 @@ def test_full_pipeline_through_shell():
     amps_got = np.array([complex(a["re"], a["im"]) for a in doc["amplitudes"]])
     c_true = qutrit.quantify(truth).concurrence
     assert abs(qutrit.concurrence(qutrit.make_qutrit(*amps_got)) - c_true) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# non-finite, huge, tiny and malformed input
+
+@pytest.mark.parametrize("amps", ["[NaN,0,1]", "[Infinity,0,1]", "[[1,-Infinity],0,1]",
+                                  "[1e999,0,1]", '[["1",0],0,1]'])
+def test_quantify_rejects_non_finite_amplitudes(capsys, amps):
+    code, out, err = run_cli(capsys, "quantify", "--amplitudes", amps)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_quantify_scales_huge_and_tiny_amplitudes(capsys, scale):
+    doc = run_json(capsys, "quantify", "--amplitudes", f"[{scale},0,{scale}]")
+    amps = [a["re"] for a in doc["amplitudes"]]
+    assert amps == pytest.approx([1 / math.sqrt(2), 0, 1 / math.sqrt(2)], abs=1e-15)
+    assert doc["entanglement"]["concurrence"] == pytest.approx(1.0, abs=1e-12)
+    doc = run_json(capsys, "quantify", "--amplitudes", f"[{scale},0,1]")
+    assert doc["amplitudes"][0]["re"] == pytest.approx(1.0 if scale == "1e200" else 1e-200)
+
+
+def test_simulate_rejects_pairs_beyond_the_sampler(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--amplitudes", "[0.6,0,0.8]",
+                             "--noise", "sampled", "--pairs", str(10**20))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("H|H", "NaN"), ("H|H", '"abc"'), ("H|H", "Infinity"), ("eta", "NaN"),
+    ("total_pairs", "Infinity"), ("total_pairs", "1.5"), ("total_pairs", '"many"'),
+    ("basis", "5"), ("counts", "[1,2]"),
+])
+def test_reconstruct_rejects_malformed_record_values(tmp_path, capsys, field, value):
+    q = qutrit.make_qutrit(0.6, 0.3, 0.8)
+    path_n, path_r = write_records(tmp_path, q)
+    doc = json.loads(open(path_n).read())
+    if field in doc:
+        doc[field] = "@"
+    else:
+        doc["counts"][field] = "@"
+    with open(path_n, "w") as fh:
+        fh.write(json.dumps(doc).replace('"@"', value) + "\n")
+    code, out, err = run_cli(capsys, "reconstruct", path_n, path_r)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_reconstruct_rejects_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "reconstruct", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, biphoton.cli; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -39,6 +39,24 @@ def test_make_qutrit_rejects_zero():
         qutrit.make_qutrit(0, 0, 0)
 
 
+def test_make_qutrit_scales_huge_and_tiny_input():
+    for scale in (1e200, 1e-200, 1e-320):
+        q = qutrit.make_qutrit(scale, 0, 1j * scale)
+        assert np.allclose(q.amplitudes, [1 / SQRT2, 0, 1j / SQRT2], atol=1e-15)
+    q = qutrit.make_qutrit(1e200, 0, 1)
+    assert q.amplitudes[0] == 1 and abs(q.amplitudes[2] - 1e-200) <= 1e-215
+
+
+def test_make_qutrit_scaling_keeps_the_bits():
+    # the power-of-two scale must not change ordinary input in the last bit
+    gen = np.random.default_rng(11)
+    for _ in range(50):
+        v = gen.normal(size=3) + 1j * gen.normal(size=3)
+        norm = math.sqrt(sum(abs(complex(c)) ** 2 for c in v))
+        want = [complex(c) / norm for c in v]
+        assert list(qutrit.make_qutrit(*v).amplitudes) == want
+
+
 def test_state_invariant_enforced():
     with pytest.raises(ValueError):
         qutrit.QutritState(1.0, 1.0, 0.0)
@@ -183,6 +201,21 @@ def test_quantify_report_invariants():
 def test_lambda_closed_form_matches_eigensolver():
     for _ in range(50):
         q = random_qutrit()
+        rep = qutrit.quantify(q)
+        vals, _ = tensor.hermitian_eig(qutrit.reduced_density(q))
+        assert abs(rep.lambda_plus - vals[0]) <= 1e-12
+        assert abs(rep.lambda_minus - vals[1]) <= 1e-12
+
+
+def test_lambda_closed_form_at_maximal_entanglement():
+    # C = 1: (1 +- sqrt(1 - C^2))/2 would lose half the digits here
+    states = [qutrit.make_qutrit(0, 1, 0)] + [
+        qutrit.max_entangled_family(phi, phi1, phi3)
+        for phi in np.linspace(0, math.pi, 7)
+        for phi1 in (0.0, 0.7, 2.9)
+        for phi3 in (0.0, -1.3)
+    ]
+    for q in states:
         rep = qutrit.quantify(q)
         vals, _ = tensor.hermitian_eig(qutrit.reduced_density(q))
         assert abs(rep.lambda_plus - vals[0]) <= 1e-12

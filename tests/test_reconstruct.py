@@ -72,6 +72,15 @@ def test_magnitudes_negative_count():
         reconstruct.magnitudes_from_record(broken)
 
 
+def test_magnitudes_overflowing_counts():
+    rec, _ = ideal_records(qutrit.make_qutrit(0.6, 0.3, 0.8))
+    doc = rec.to_dict()
+    doc["counts"] = {k: 1e308 for k in doc["counts"]}
+    broken = measurement.CoincidenceRecord.from_dict(doc)
+    with pytest.raises(reconstruct.MalformedRecord):
+        reconstruct.magnitudes_from_record(broken)
+
+
 def test_magnitudes_unknown_setting():
     rec, _ = ideal_records(qutrit.make_qutrit(0, 1, 0))
     doc = rec.to_dict()
@@ -139,6 +148,19 @@ def test_qutrit_round_trip_random_states():
             for sol in res.solutions()
         )
         assert res.residual <= 1e-8
+
+
+def test_qutrit_round_trip_small_outer_amplitude():
+    # an earlier grid search returned no solution closer than 1 - 3.7e-4
+    # to this state
+    c = np.array([0.00113138 + 0.02808004j, 0.36201885 + 0.21614776j,
+                  0.3651467 - 0.8295183j])
+    q = qutrit.make_qutrit(*c)
+    res = reconstruct.qutrit_phases(ideal_estimate(q))
+    assert any(
+        matches_up_to_phase_or_conjugation(sol.amplitudes, q.amplitudes)
+        for sol in res.solutions()
+    )
 
 
 def test_qutrit_residual_is_recomputable():
@@ -385,3 +407,92 @@ def test_result_to_dict():
     assert all(set(a) == {"re", "im"} for a in doc["amplitudes"])
     assert doc["residual"] >= 0
     assert isinstance(doc["alternates"], list)
+
+
+# ---------------------------------------------------------------------------
+# closed-form phase solvers
+
+def central_jacobian(fun, x, h=1e-6):
+    cols = []
+    for d in range(x.size):
+        step = np.zeros_like(x)
+        step[d] = h
+        cols.append((np.asarray(fun(x + step)) - np.asarray(fun(x - step))) / (2 * h))
+    return np.column_stack(cols)
+
+
+def test_phase_jacobians_match_central_differences():
+    gen = np.random.default_rng(12)
+    for _ in range(20):
+        m = np.abs(gen.normal(size=4))
+        n = np.abs(gen.normal(size=4))
+        x = gen.uniform(-math.pi, math.pi, size=4)
+        want = central_jacobian(
+            lambda p: reconstruct.qutrit_phase_equations(m[:3], n[:3], *p), x[:2])
+        got = reconstruct._qutrit_jacobian(m[:3], *x[:2])
+        assert np.max(np.abs(got - want)) <= 1e-8
+        want = central_jacobian(
+            lambda p: reconstruct.ququart_phase_equations(m, n, p), x)
+        got = reconstruct._ququart_jacobian(m, x)
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+
+def real_states(n, dim, seed):
+    """Real amplitudes of mixed sign, each at least 0.1 in magnitude."""
+    gen = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        c = gen.normal(size=dim)
+        c /= np.linalg.norm(c)
+        if np.min(np.abs(c)) >= 0.1:
+            out.append(c)
+    return out
+
+
+def truth_overlap(res, truth):
+    return max(
+        max(abs(np.vdot(a, truth)), abs(np.vdot(np.conj(a), truth)))
+        for a in (sol.amplitudes for sol in res.solutions())
+    )
+
+
+def test_real_amplitude_round_trips_meet_criterion_8():
+    # real amplitudes put the phase equations at tangential double roots;
+    # seed 5 holds a qutrit whose truth an earlier grid search with
+    # least-squares refinement missed by 2.2e-9, beyond criterion 8's 1e-9
+    for c in real_states(40, 3, 5):
+        res = reconstruct.qutrit_phases(ideal_estimate(qutrit.make_qutrit(*c)))
+        assert truth_overlap(res, c) >= 1 - 1e-9
+    for c in real_states(20, 4, 5):
+        s = ququart.make_ququart(*c)
+        res = reconstruct.ququart_phases(ideal_estimate(s, kind="ququart"))
+        assert truth_overlap(res, c) >= 1 - 1e-9
+
+
+def sampled_estimate(state, kind, seed):
+    sample = (measurement.sample_coincidences if kind == "qutrit"
+              else measurement.sample_coincidences_ququart)
+    recs = [
+        sample(state, measurement.ExperimentConfig(
+            total_pairs=10**6, basis=basis, noise="sampled", seed=seed + k))
+        for k, basis in enumerate(("natural", "rotated45"))
+    ]
+    return reconstruct.merge_estimates(
+        *(reconstruct.magnitudes_from_record(r) for r in recs))
+
+
+def test_sampled_real_records_reconstruct():
+    # criterion 9's bound on |dC|, for states whose equations sit at double
+    # roots; an earlier grid search took up to 110 s on the first of them
+    q = qutrit.make_qutrit(0.1623, -0.3346, -0.9283)
+    c_true = qutrit.quantify(q).concurrence
+    for seed in range(5):
+        res = reconstruct.qutrit_phases(sampled_estimate(q, "qutrit", 10 * seed))
+        assert min(abs(qutrit.quantify(s).concurrence - c_true)
+                   for s in res.solutions()) <= 0.05
+    for seed, c in enumerate(real_states(10, 4, 7)):
+        s = ququart.make_ququart(*c)
+        ci_true = ququart.quantify(s).i_concurrence
+        res = reconstruct.ququart_phases(sampled_estimate(s, "ququart", 10 * seed))
+        assert min(abs(ququart.quantify(sol).i_concurrence - ci_true)
+                   for sol in res.solutions()) <= 0.05
