@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -53,6 +54,16 @@ def _amplitude_list(state):
 # ---------------------------------------------------------------------------
 # state construction from flags
 # ---------------------------------------------------------------------------
+
+# the per-kind functions behind the subcommands
+_Kind = namedtuple("_Kind", "make quantify schmidt density phases")
+
+_KINDS = {
+    "qutrit": _Kind(qutrit.make_qutrit, qutrit.quantify, qutrit.schmidt_decompose,
+                    qutrit.density_matrix, reconstruct.qutrit_phases),
+    "ququart": _Kind(ququart.make_ququart, ququart.quantify, ququart.schmidt_decompose,
+                     ququart.density_matrix, reconstruct.ququart_phases),
+}
 
 _QUTRIT_FAMILIES = ("non_entangled", "max_entangled")
 _QUQUART_FAMILIES = ("psi_phi", "psi_phi_prime")
@@ -118,10 +129,7 @@ def _build_state(args):
             raise InputError(str(e))
         kind = "qutrit" if len(amps) == 3 else "ququart"
         try:
-            if kind == "qutrit":
-                state = qutrit.make_qutrit(*amps)
-            else:
-                state = ququart.make_ququart(*amps)
+            state = _KINDS[kind].make(*amps)
         except qutrit.ZeroState as e:
             raise InputError(str(e))
     else:
@@ -159,46 +167,33 @@ def _schmidt_payload(dec):
 
 def cmd_quantify(args):
     kind, state = _build_state(args)
+    ops = _KINDS[kind]
+    rep = ops.quantify(state)
+    payload = {
+        "schema": "report/1",
+        "kind": kind,
+        "amplitudes": _amplitude_list(state),
+        "schmidt": _schmidt_payload(ops.schmidt(state)),
+    }
     if kind == "qutrit":
-        rep = qutrit.quantify(state)
         pol = qutrit.polarization(state)
-        payload = {
-            "schema": "report/1",
-            "kind": kind,
-            "amplitudes": _amplitude_list(state),
-            "entanglement": {
-                "schmidt_k": rep.schmidt_k,
-                "concurrence": rep.concurrence,
-                "entropy": rep.entropy,
-                "lambda_plus": rep.lambda_plus,
-                "lambda_minus": rep.lambda_minus,
-            },
-            "polarization": {
-                "xi": list(pol.xi),
-                "degree_p": pol.degree_p,
-            },
-            "schmidt": _schmidt_payload(qutrit.schmidt_decompose(state)),
+        payload["entanglement"] = {
+            "schmidt_k": rep.schmidt_k,
+            "concurrence": rep.concurrence,
+            "entropy": rep.entropy,
+            "lambda_plus": rep.lambda_plus,
+            "lambda_minus": rep.lambda_minus,
         }
+        payload["polarization"] = {"xi": list(pol.xi), "degree_p": pol.degree_p}
     else:
-        rep = ququart.quantify(state)
-        payload = {
-            "schema": "report/1",
-            "kind": kind,
-            "amplitudes": _amplitude_list(state),
-            "entanglement": {
-                "schmidt_k": rep.schmidt_k,
-                "i_concurrence": rep.i_concurrence,
-                "entropy": rep.entropy,
-                "lambdas": list(rep.lambdas),
-            },
-            "schmidt": _schmidt_payload(ququart.schmidt_decompose(state)),
+        payload["entanglement"] = {
+            "schmidt_k": rep.schmidt_k,
+            "i_concurrence": rep.i_concurrence,
+            "entropy": rep.entropy,
+            "lambdas": list(rep.lambdas),
         }
     if args.dump_density:
-        if kind == "qutrit":
-            rho = qutrit.density_matrix(state)
-        else:
-            rho = ququart.density_matrix(state)
-        payload["density_matrix"] = rho.tolist()
+        payload["density_matrix"] = ops.density(state).tolist()
     _emit_json(payload)
     return EXIT_OK
 
@@ -255,18 +250,12 @@ def _passthrough_stdin():
 
 
 def cmd_simulate(args):
-    kind, state = _build_state(args)
+    _, state = _build_state(args)
     cfg = _config_from_args(args, _resolve_seed(args))
     if cfg.noise == "sampled":
-        if kind == "qutrit":
-            rec = measurement.sample_coincidences(state, cfg)
-        else:
-            rec = measurement.sample_coincidences_ququart(state, cfg)
+        rec = measurement.sample_coincidences(state, cfg)
     else:
-        if kind == "qutrit":
-            rec = measurement.expected_coincidences(state, cfg)
-        else:
-            rec = measurement.expected_coincidences_ququart(state, cfg)
+        rec = measurement.expected_coincidences(state, cfg)
     _passthrough_stdin()
     _emit_json(rec.to_dict())
     return EXIT_OK
@@ -315,12 +304,8 @@ def cmd_reconstruct(args):
         est = reconstruct.merge_estimates(*ests)
     except (reconstruct.IncompleteRecord, reconstruct.MalformedRecord) as e:
         raise InputError(str(e))
-    solver = (
-        reconstruct.qutrit_phases if est.kind == "qutrit"
-        else reconstruct.ququart_phases
-    )
     try:
-        result = solver(est)
+        result = _KINDS[est.kind].phases(est)
     except reconstruct.PhaseUnobservable as e:
         result = e.result
         print(f"warning: {e}", file=sys.stderr)

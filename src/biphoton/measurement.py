@@ -7,16 +7,24 @@ polarization settings, so it cancels from every conditional probability; it
 only costs a factor eta/2 of the pairs, with eta the detector/collection
 efficiency.
 
-For a qutrit the four ordered polarizer settings (sigma | sigma') draw from
+Qutrits and ququarts are measured the same way.  What differs is a small
+per-kind table (``KINDS``): the ordered settings (sigma | sigma') and the
+amplitude each setting probes,
+
+    qutrit   H|H  H|V  V|H  V|V                          -> C1 C2 C2 C3
+    ququart  Hh|Hl Hl|Hh Hh|Vl Vl|Hh Hl|Vh Vh|Hl Vh|Vl Vl|Vh
+                                                         -> C1 C1 C2 C2 C3 C3 C4 C4
+
+plus the rotation to the 45-degree polarizer frame.  An amplitude probed by
+k settings gives each of them |C|^2 / k, so for a qutrit
 
     N_{H|H} = (eta/2) N |C1|^2        N_{V|V} = (eta/2) N |C3|^2
     N_{H|V} = N_{V|H} = (eta/4) N |C2|^2
 
-so the conditional coincidence probabilities are (|C1|^2, |C2|^2/2,
-|C2|^2/2, |C3|^2) and single-photon probabilities are their row sums.  For
-a frequency-nondegenerate ququart the analogue runs over eight ordered
-settings that pair one high-frequency with one low-frequency detector, two
-settings per amplitude, each carrying |Ck|^2/2.
+and every ququart setting carries (eta/4) N |Ck|^2.  Single-photon
+probabilities are row sums over the settings.  Summing the settings that
+probe one amplitude inverts the table; the magnitude extraction in
+``reconstruct`` does exactly that.
 
 Records come in two modes: "ideal" records hold real-valued expected counts,
 "sampled" records hold integer counts drawn reproducibly from the seeded
@@ -26,6 +34,7 @@ ordered settings).
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +58,31 @@ QUQUART_SETTINGS = (
     "Hl|Vh", "Vh|Hl",
     "Vh|Vl", "Vl|Vh",
 )
+
+
+class Kind(NamedTuple):
+    """What the measurement needs to know about one kind of state.
+
+    probes[i] is the index of the amplitude whose |C|^2 setting i counts;
+    rotate45 maps a state to its amplitudes in the 45-degree polarizer frame.
+    """
+
+    settings: tuple
+    probes: np.ndarray
+    rotate45: Callable
+
+
+KINDS = {
+    "qutrit": Kind(QUTRIT_SETTINGS, np.array([0, 1, 1, 2]),
+                   lambda q: _qutrit.rotate_basis(q, math.pi / 4.0)),
+    "ququart": Kind(QUQUART_SETTINGS, np.array([0, 0, 1, 1, 2, 2, 3, 3]),
+                    _ququart.rotate_basis_45),
+}
+
+_KIND_OF_TYPE = {
+    _qutrit.QutritState: KINDS["qutrit"],
+    _ququart.QuquartState: KINDS["ququart"],
+}
 
 SCHEMA = "coincidence/1"
 
@@ -183,41 +217,46 @@ def beam_splitter_wavefunction(q):
     return composite
 
 
-def _qutrit_probabilities(q, basis):
+def state_kind(state):
+    """The Kind table of a qutrit or ququart state."""
+    return _KIND_OF_TYPE[type(state)]
+
+
+def _probabilities(kind, state, basis):
+    # ordered-setting probabilities, aligned with kind.settings: each setting
+    # carries its amplitude's |C|^2, shared evenly among the settings probing it
     if basis == "rotated45":
-        q = _qutrit.rotate_basis(q, math.pi / 4.0)
-    p = np.abs(q.amplitudes) ** 2
-    # ordered-setting probabilities, aligned with QUTRIT_SETTINGS
-    return np.array([p[0], p[1] / 2.0, p[1] / 2.0, p[2]])
+        state = kind.rotate45(state)
+    p = np.abs(state.amplitudes) ** 2
+    idx = kind.probes
+    return p[idx] / np.bincount(idx)[idx]
 
 
-def _ququart_probabilities(s, basis):
-    if basis == "rotated45":
-        s = _ququart.rotate_basis_45(s)
-    p = np.abs(s.amplitudes) ** 2
-    return np.repeat(p / 2.0, 2)
+def _record(cfg, mode, kind, values, seed=None):
+    return CoincidenceRecord(
+        basis=cfg.basis,
+        mode=mode,
+        eta=cfg.detector_efficiency,
+        total_pairs=cfg.total_pairs,
+        counts=dict(zip(kind.settings, values)),
+        seed=seed,
+    )
 
 
-def expected_coincidences(q, cfg):
-    """Ideal (expected-value) coincidence record for a qutrit.
+def expected_coincidences(state, cfg):
+    """Ideal (expected-value) coincidence record for a qutrit or a ququart.
 
     Every coincidence class claims its share of the (eta/2) N pairs that
     survive the beam splitter and the detectors.
     """
-    probs = _qutrit_probabilities(q, cfg.basis)
+    kind = state_kind(state)
+    probs = _probabilities(kind, state, cfg.basis)
     scale = cfg.detector_efficiency / 2.0 * cfg.total_pairs
-    counts = {k: float(scale * p) for k, p in zip(QUTRIT_SETTINGS, probs)}
-    return CoincidenceRecord(
-        basis=cfg.basis,
-        mode="ideal",
-        eta=cfg.detector_efficiency,
-        total_pairs=cfg.total_pairs,
-        counts=counts,
-    )
+    return _record(cfg, "ideal", kind, [float(scale * p) for p in probs])
 
 
-def sample_coincidences(q, cfg):
-    """Seeded noisy coincidence record for a qutrit.
+def sample_coincidences(state, cfg):
+    """Seeded noisy coincidence record for a qutrit or a ququart.
 
     Two-stage model: the number of detected coincidences is binomial with
     success probability eta/2 per generated pair, and those are split over
@@ -226,54 +265,14 @@ def sample_coincidences(q, cfg):
     """
     if cfg.noise != "sampled":
         raise ValueError("sample_coincidences needs a config with noise='sampled'")
-    probs = _qutrit_probabilities(q, cfg.basis)
+    kind = state_kind(state)
+    probs = _probabilities(kind, state, cfg.basis)
     rng = np.random.default_rng(cfg.seed)
     n_det = rng.binomial(cfg.total_pairs, cfg.detector_efficiency / 2.0)
     draws = rng.multinomial(n_det, probs / probs.sum())
-    counts = {k: int(v) for k, v in zip(QUTRIT_SETTINGS, draws)}
-    return CoincidenceRecord(
-        basis=cfg.basis,
-        mode="sampled",
-        eta=cfg.detector_efficiency,
-        total_pairs=cfg.total_pairs,
-        counts=counts,
-        seed=cfg.seed,
-    )
+    return _record(cfg, "sampled", kind, [int(v) for v in draws], seed=cfg.seed)
 
 
-def expected_coincidences_ququart(s, cfg):
-    """Ideal coincidence record for a ququart over the eight ordered settings.
-
-    Each amplitude feeds the two settings that pair its high- and
-    low-frequency detectors, at (eta/4) N |Ck|^2 apiece, so the two
-    conditional probabilities of a pair average to |Ck|^2 / 2.
-    """
-    probs = _ququart_probabilities(s, cfg.basis)
-    scale = cfg.detector_efficiency / 2.0 * cfg.total_pairs
-    counts = {k: float(scale * p) for k, p in zip(QUQUART_SETTINGS, probs)}
-    return CoincidenceRecord(
-        basis=cfg.basis,
-        mode="ideal",
-        eta=cfg.detector_efficiency,
-        total_pairs=cfg.total_pairs,
-        counts=counts,
-    )
-
-
-def sample_coincidences_ququart(s, cfg):
-    """Seeded noisy coincidence record for a ququart (same model as qutrits)."""
-    if cfg.noise != "sampled":
-        raise ValueError("sample_coincidences_ququart needs a config with noise='sampled'")
-    probs = _ququart_probabilities(s, cfg.basis)
-    rng = np.random.default_rng(cfg.seed)
-    n_det = rng.binomial(cfg.total_pairs, cfg.detector_efficiency / 2.0)
-    draws = rng.multinomial(n_det, probs / probs.sum())
-    counts = {k: int(v) for k, v in zip(QUQUART_SETTINGS, draws)}
-    return CoincidenceRecord(
-        basis=cfg.basis,
-        mode="sampled",
-        eta=cfg.detector_efficiency,
-        total_pairs=cfg.total_pairs,
-        counts=counts,
-        seed=cfg.seed,
-    )
+# older names, kept while callers move to the kind-generic builders
+expected_coincidences_ququart = expected_coincidences
+sample_coincidences_ququart = sample_coincidences

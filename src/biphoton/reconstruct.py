@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jsonio import complex_to_json
-from .measurement import BASES, QUTRIT_SETTINGS, QUQUART_SETTINGS
+from .measurement import BASES, KINDS
 from .qutrit import QutritState
 from .ququart import QuquartState
 
@@ -149,48 +149,34 @@ class ReconstructionResult:
 # magnitudes from records
 # ---------------------------------------------------------------------------
 
-def magnitudes_from_record(rec, kind=None):
+def magnitudes_from_record(rec):
     """Extract amplitude magnitudes from one coincidence record.
 
-    The redundant symmetric settings (the two orderings probing the same
-    amplitude) are averaged, the squared magnitudes renormalized to unit sum
-    and the renormalization factor reported.  Raises IncompleteRecord when a
+    The settings probing one amplitude (the two orderings of a symmetric
+    pair) are summed, the squared magnitudes renormalized to unit sum and
+    the renormalization factor reported.  Raises IncompleteRecord when a
     required setting is missing and MalformedRecord for negative or empty
     counts.
     """
-    if kind is None:
-        kind = rec.kind
-    if kind not in ("qutrit", "ququart"):
-        raise ValueError(f"unknown kind {kind!r}")
+    kind = rec.kind
     if rec.basis not in BASES:
         raise MalformedRecord(f"record basis {rec.basis!r} is not recognized")
-    settings = QUTRIT_SETTINGS if kind == "qutrit" else QUQUART_SETTINGS
+    settings, probes, _ = KINDS[kind]
     missing = [s for s in settings if s not in rec.counts]
     if missing:
         raise IncompleteRecord(f"record lacks settings {missing} for a {kind}")
     unknown = [s for s in rec.counts if s not in settings]
     if unknown:
         raise MalformedRecord(f"record has settings {unknown} foreign to a {kind}")
-    counts = {s: float(rec.counts[s]) for s in settings}
-    if any(v < 0 for v in counts.values()):
+    counts = [float(rec.counts[s]) for s in settings]
+    if any(v < 0 for v in counts):
         raise MalformedRecord("negative coincidence count")
-    total = sum(counts.values())
+    total = sum(counts)
     if total <= 0:
         raise MalformedRecord("record holds no coincidences")
     if not math.isfinite(total):
         raise MalformedRecord("coincidence counts overflow their sum")
-    w = {s: v / total for s, v in counts.items()}
-    if kind == "qutrit":
-        sq = np.array([w["H|H"], w["H|V"] + w["V|H"], w["V|V"]])
-    else:
-        sq = np.array(
-            [
-                w["Hh|Hl"] + w["Hl|Hh"],
-                w["Hh|Vl"] + w["Vl|Hh"],
-                w["Hl|Vh"] + w["Vh|Hl"],
-                w["Vh|Vl"] + w["Vl|Vh"],
-            ]
-        )
+    sq = np.bincount(probes, weights=np.array(counts) / total)
     factor = float(sq.sum())
     mags = np.sqrt(sq / factor)
     warnings = []
