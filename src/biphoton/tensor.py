@@ -126,7 +126,8 @@ def vn_entropy(eigvals, clip=1e-12):
         )
     lam = np.clip(lam, 0.0, 1.0)
     nz = lam[lam > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    # adding +0.0 turns the -0.0 of a pure state into 0.0 and nothing else
+    return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
 def takagi(m, tol=HERMITIAN_TOL):

@@ -44,6 +44,12 @@ def test_quantify_product_qutrit(capsys):
     assert doc["polarization"]["degree_p"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_quantify_product_qutrit_prints_positive_zero_entropy(capsys):
+    code, out, err = run_cli(capsys, "quantify", "--amplitudes", "[1,0,0]")
+    assert code == 0, err
+    assert '"entropy":0,' in out
+
+
 def test_quantify_maximal_ququart(capsys):
     amp = 1 / math.sqrt(2)
     doc = run_json(capsys, "quantify", "--kind", "ququart",

@@ -1,6 +1,8 @@
 """Tests for the dense linear-algebra core: Kronecker products, partial
 traces, Hermitian eigendecomposition, Takagi factorization and entropy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,14 @@ def test_vn_entropy_values():
     assert tensor.vn_entropy(np.array([1.0, 0.0])) == 0.0
     assert abs(tensor.vn_entropy(np.array([0.5, 0.5])) - 1) <= 1e-12
     assert abs(tensor.vn_entropy(np.full(4, 0.25)) - 2) <= 1e-12
+
+
+def test_vn_entropy_of_pure_state_is_positive_zero():
+    for lam in ([1.0, 0.0], [1.0], [0.0, 1.0, 0.0, 0.0]):
+        assert math.copysign(1.0, tensor.vn_entropy(np.array(lam))) == 1.0
+    # nonzero entropies keep their bits
+    lam = np.array([0.3, 0.7])
+    assert tensor.vn_entropy(lam) == float(-(lam * np.log2(lam)).sum())
 
 
 def test_vn_entropy_clips_float_noise():
