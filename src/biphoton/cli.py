@@ -34,6 +34,9 @@ EXIT_CONTRACT = 4
 
 SEED_ENV = "BIPHOTON_SEED"
 
+# a sweep holds its rows in memory and takes about 0.1 ms per row
+MAX_GRID = 10**6
+
 
 class InputError(Exception):
     """Bad user input; maps to exit code 2."""
@@ -89,9 +92,12 @@ def _family_params(args, count):
             if not tok:
                 continue
             try:
-                vals.append(float(tok))
+                val = float(tok)
             except ValueError:
                 raise InputError(f"cannot read {tok!r} as a number")
+            if not math.isfinite(val):
+                raise InputError(f"family parameters must be finite, got {tok!r}")
+            vals.append(val)
     if len(vals) > count:
         raise InputError(
             f"family {args.family!r} takes at most {count} parameter(s), got {len(vals)}"
@@ -104,18 +110,22 @@ def _build_state(args):
     if args.amplitudes and args.family:
         raise InputError("give either --amplitudes or --family, not both")
     if args.family:
-        if args.family in _QUTRIT_FAMILIES:
-            kind = "qutrit"
-            phi, phi1, phi3 = _family_params(args, 3)
-            maker = getattr(qutrit, args.family + "_family")
-            state = maker(phi, phi1, phi3)
-        else:
-            kind = "ququart"
-            (phi,) = _family_params(args, 1)
-            if args.family == "psi_phi":
-                state, _, _ = ququart.family_psi_phi(phi)
+        try:
+            if args.family in _QUTRIT_FAMILIES:
+                kind = "qutrit"
+                phi, phi1, phi3 = _family_params(args, 3)
+                maker = getattr(qutrit, args.family + "_family")
+                state = maker(phi, phi1, phi3)
             else:
-                state = ququart.family_psi_phi_prime(phi)
+                kind = "ququart"
+                (phi,) = _family_params(args, 1)
+                if args.family == "psi_phi":
+                    state, _, _ = ququart.family_psi_phi(phi)
+                else:
+                    state = ququart.family_psi_phi_prime(phi)
+        except ValueError as e:
+            # finite angles so large that a sum or a doubling overflows
+            raise InputError(f"family {args.family!r} cannot take these parameters: {e}")
     elif args.amplitudes:
         try:
             raw = json.loads(args.amplitudes)
@@ -316,8 +326,8 @@ def cmd_reconstruct(args):
 
 
 def _sweep_rows(family, grid_n):
-    if grid_n < 2:
-        raise InputError("--grid must be at least 2")
+    if not 2 <= grid_n <= MAX_GRID:
+        raise InputError(f"--grid must lie in [2, {MAX_GRID}]")
     rows = []
     if family == "fig1":
         header = ("c_plus", "K", "C", "S_r")
@@ -380,7 +390,8 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="CSV sweep of a named figure family")
     p.add_argument("--family", required=True, choices=("fig1", "fig4", "fig5"))
-    p.add_argument("--grid", type=int, default=100, help="number of grid points")
+    p.add_argument("--grid", type=int, default=100,
+                   help=f"number of grid points, 2 to {MAX_GRID}")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=cmd_sweep)
 

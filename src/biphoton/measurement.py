@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"basis must be one of {BASES}")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}")
+        if self.noise == "sampled" and self.seed < 0:
+            raise ValueError("sampling needs a non-negative seed")
 
 
 @dataclass(frozen=True)
@@ -217,29 +219,25 @@ def beam_splitter_wavefunction(q):
     return composite
 
 
-def state_kind(state):
-    """The Kind table of a qutrit or ququart state."""
-    return _KIND_OF_TYPE[type(state)]
-
-
-def _probabilities(kind, state, basis):
-    # ordered-setting probabilities, aligned with kind.settings: each setting
-    # carries its amplitude's |C|^2, shared evenly among the settings probing it
+def _setting_probabilities(state, basis):
+    # ordered settings of the state's kind and their probabilities: each
+    # setting carries its amplitude's |C|^2, shared evenly among the settings
+    # probing that amplitude
+    settings, idx, rotate45 = _KIND_OF_TYPE[type(state)]
     if basis == "rotated45":
-        state = kind.rotate45(state)
+        state = rotate45(state)
     p = np.abs(state.amplitudes) ** 2
-    idx = kind.probes
-    return p[idx] / np.bincount(idx)[idx]
+    return settings, p[idx] / np.bincount(idx)[idx]
 
 
-def _record(cfg, mode, kind, values, seed=None):
+def _record(cfg, mode, settings, values):
     return CoincidenceRecord(
         basis=cfg.basis,
         mode=mode,
         eta=cfg.detector_efficiency,
         total_pairs=cfg.total_pairs,
-        counts=dict(zip(kind.settings, values)),
-        seed=seed,
+        counts=dict(zip(settings, values)),
+        seed=cfg.seed if mode == "sampled" else None,
     )
 
 
@@ -249,10 +247,9 @@ def expected_coincidences(state, cfg):
     Every coincidence class claims its share of the (eta/2) N pairs that
     survive the beam splitter and the detectors.
     """
-    kind = state_kind(state)
-    probs = _probabilities(kind, state, cfg.basis)
+    settings, probs = _setting_probabilities(state, cfg.basis)
     scale = cfg.detector_efficiency / 2.0 * cfg.total_pairs
-    return _record(cfg, "ideal", kind, [float(scale * p) for p in probs])
+    return _record(cfg, "ideal", settings, [float(scale * p) for p in probs])
 
 
 def sample_coincidences(state, cfg):
@@ -265,12 +262,11 @@ def sample_coincidences(state, cfg):
     """
     if cfg.noise != "sampled":
         raise ValueError("sample_coincidences needs a config with noise='sampled'")
-    kind = state_kind(state)
-    probs = _probabilities(kind, state, cfg.basis)
+    settings, probs = _setting_probabilities(state, cfg.basis)
     rng = np.random.default_rng(cfg.seed)
     n_det = rng.binomial(cfg.total_pairs, cfg.detector_efficiency / 2.0)
     draws = rng.multinomial(n_det, probs / probs.sum())
-    return _record(cfg, "sampled", kind, [int(v) for v in draws], seed=cfg.seed)
+    return _record(cfg, "sampled", settings, [int(v) for v in draws])
 
 
 # older names, kept while callers move to the kind-generic builders

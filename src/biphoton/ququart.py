@@ -63,7 +63,7 @@ class QuquartState:
 
     def __post_init__(self):
         n = sum(abs(c) ** 2 for c in self.amplitudes)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(
                 f"ququart amplitudes have squared norm {n!r}; use make_ququart"
             )

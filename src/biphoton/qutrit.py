@@ -58,7 +58,7 @@ class QutritState:
 
     def __post_init__(self):
         n = abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.c3) ** 2
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(
                 f"qutrit amplitudes have squared norm {n!r}; use make_qutrit"
             )

@@ -325,6 +325,21 @@ def test_quantify_scales_huge_and_tiny_amplitudes(capsys, scale):
     assert doc["amplitudes"][0]["re"] == pytest.approx(1.0 if scale == "1e200" else 1e-200)
 
 
+@pytest.mark.parametrize("argv", [
+    ["quantify", "--family", "max_entangled", "--param", "nan"],
+    ["quantify", "--family", "psi_phi", "--param", "inf"],
+    ["quantify", "--family", "psi_phi", "--param", "1e308"],
+    ["quantify", "--family", "max_entangled", "--param", "0,1e308,1e308"],
+    ["simulate", "--amplitudes", "[1,0,0]", "--noise", "sampled", "--seed", "-1"],
+    ["sweep", "--family", "fig1", "--grid", str(10**20)],
+])
+def test_out_of_range_flags_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_simulate_rejects_pairs_beyond_the_sampler(capsys):
     code, out, err = run_cli(capsys, "simulate", "--amplitudes", "[0.6,0,0.8]",
                              "--noise", "sampled", "--pairs", str(10**20))

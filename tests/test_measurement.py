@@ -121,10 +121,19 @@ def test_rotated_basis_uses_rotated_amplitudes():
 # ---------------------------------------------------------------------------
 # sampled qutrit records
 
-def test_sampling_requires_sampled_mode():
+@pytest.mark.parametrize("state", [qutrit.make_qutrit(1, 0, 0), ququart.make_ququart(1, 0, 0, 0)],
+                         ids=["qutrit", "ququart"])
+def test_sampling_requires_sampled_mode(state):
     cfg = measurement.ExperimentConfig(total_pairs=100)
     with pytest.raises(ValueError):
-        measurement.sample_coincidences(qutrit.make_qutrit(1, 0, 0), cfg)
+        measurement.sample_coincidences(state, cfg)
+
+
+def test_sampling_requires_non_negative_seed():
+    with pytest.raises(ValueError):
+        measurement.ExperimentConfig(total_pairs=100, noise="sampled", seed=-1)
+    # an ideal record draws nothing, so its seed is not checked
+    measurement.ExperimentConfig(total_pairs=100, seed=-1)
 
 
 def test_sampling_deterministic_per_seed():
@@ -167,12 +176,12 @@ def test_sampling_converges_to_ideal():
 
 def test_ququart_expected_basis_states():
     cfg = measurement.ExperimentConfig(total_pairs=10**6)
-    rec = measurement.expected_coincidences_ququart(ququart.make_ququart(1, 0, 0, 0), cfg)
+    rec = measurement.expected_coincidences(ququart.make_ququart(1, 0, 0, 0), cfg)
     w = rec.conditional_probabilities()
     assert w["Hh|Hl"] == pytest.approx(0.5)
     assert w["Hl|Hh"] == pytest.approx(0.5)
     assert sum(w.values()) == pytest.approx(1.0)
-    rec = measurement.expected_coincidences_ququart(ququart.make_ququart(0, 0, 0, 1), cfg)
+    rec = measurement.expected_coincidences(ququart.make_ququart(0, 0, 0, 1), cfg)
     w = rec.conditional_probabilities()
     assert w["Vh|Vl"] == pytest.approx(0.5)
     assert w["Vl|Vh"] == pytest.approx(0.5)
@@ -180,7 +189,7 @@ def test_ququart_expected_basis_states():
 
 def test_ququart_expected_uniform_state():
     cfg = measurement.ExperimentConfig(total_pairs=10**6)
-    rec = measurement.expected_coincidences_ququart(
+    rec = measurement.expected_coincidences(
         ququart.make_ququart(1, 1, 1, 1), cfg
     )
     w = rec.conditional_probabilities()
@@ -192,7 +201,7 @@ def test_ququart_expected_uniform_state():
 def test_ququart_counts_at_quarter_eta():
     s = ququart.make_ququart(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
     cfg = measurement.ExperimentConfig(total_pairs=10**6, detector_efficiency=0.8)
-    rec = measurement.expected_coincidences_ququart(s, cfg)
+    rec = measurement.expected_coincidences(s, cfg)
     mags = np.abs(s.amplitudes) ** 2
     assert rec.counts["Hh|Hl"] == pytest.approx(0.8 / 4 * 10**6 * mags[0])
     assert rec.counts["Hh|Vl"] == pytest.approx(0.8 / 4 * 10**6 * mags[1])
@@ -200,11 +209,16 @@ def test_ququart_counts_at_quarter_eta():
     assert rec.counts["Vh|Vl"] == pytest.approx(0.8 / 4 * 10**6 * mags[3])
 
 
+def test_ququart_names_alias_the_kind_generic_builders():
+    assert measurement.expected_coincidences_ququart is measurement.expected_coincidences
+    assert measurement.sample_coincidences_ququart is measurement.sample_coincidences
+
+
 def test_ququart_sampling_deterministic():
     s = ququart.make_ququart(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
     cfg = measurement.ExperimentConfig(total_pairs=10**5, noise="sampled", seed=11)
-    a = measurement.sample_coincidences_ququart(s, cfg)
-    b = measurement.sample_coincidences_ququart(s, cfg)
+    a = measurement.sample_coincidences(s, cfg)
+    b = measurement.sample_coincidences(s, cfg)
     assert a.counts == b.counts
 
 
@@ -233,7 +247,7 @@ def test_ideal_record_has_no_seed():
 def test_record_kind_detection():
     cfg = measurement.ExperimentConfig(total_pairs=1000)
     s = ququart.make_ququart(1, 1, 0, 0)
-    rec = measurement.expected_coincidences_ququart(s, cfg)
+    rec = measurement.expected_coincidences(s, cfg)
     assert rec.kind == "ququart"
 
 

@@ -59,6 +59,11 @@ def test_make_ququart_rejects_zero():
         ququart.make_ququart(0, 0, 0, 0)
 
 
+def test_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError):
+        ququart.QuquartState(1, 0, 0, complex("nan+nanj"))
+
+
 # ---------------------------------------------------------------------------
 # density matrices
 

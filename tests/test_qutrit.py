@@ -39,6 +39,11 @@ def test_make_qutrit_rejects_zero():
         qutrit.make_qutrit(0, 0, 0)
 
 
+def test_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError):
+        qutrit.QutritState(float("nan"), 0, 0)
+
+
 def test_make_qutrit_scales_huge_and_tiny_input():
     for scale in (1e200, 1e-200, 1e-320):
         q = qutrit.make_qutrit(scale, 0, 1j * scale)

@@ -15,18 +15,15 @@ SQRT2 = math.sqrt(2.0)
 rng = np.random.default_rng(20240821)
 
 
-def ideal_records(state, kind="qutrit", pairs=10**6):
+def ideal_records(state, pairs=10**6):
     cfg_n = measurement.ExperimentConfig(total_pairs=pairs)
     cfg_r = measurement.ExperimentConfig(total_pairs=pairs, basis="rotated45")
-    if kind == "qutrit":
-        return (measurement.expected_coincidences(state, cfg_n),
-                measurement.expected_coincidences(state, cfg_r))
-    return (measurement.expected_coincidences_ququart(state, cfg_n),
-            measurement.expected_coincidences_ququart(state, cfg_r))
+    return (measurement.expected_coincidences(state, cfg_n),
+            measurement.expected_coincidences(state, cfg_r))
 
 
-def ideal_estimate(state, kind="qutrit"):
-    rec_n, rec_r = ideal_records(state, kind)
+def ideal_estimate(state):
+    rec_n, rec_r = ideal_records(state)
     return reconstruct.merge_estimates(
         reconstruct.magnitudes_from_record(rec_n),
         reconstruct.magnitudes_from_record(rec_r),
@@ -49,9 +46,40 @@ def test_magnitudes_ideal_qutrit():
 
 
 def test_magnitudes_ideal_ququart():
-    rec, _ = ideal_records(ququart.make_ququart(1, 0, 0, 0), kind="ququart")
+    rec, _ = ideal_records(ququart.make_ququart(1, 0, 0, 0))
     est = reconstruct.magnitudes_from_record(rec)
     assert np.allclose(est.magnitudes, [1, 0, 0, 0], atol=1e-12)
+
+
+# the settings that probe each amplitude, written out by hand
+QUTRIT_GROUPS = (("H|H",), ("H|V", "V|H"), ("V|V",))
+QUQUART_GROUPS = (("Hh|Hl", "Hl|Hh"), ("Hh|Vl", "Vl|Hh"), ("Hl|Vh", "Vh|Hl"), ("Vh|Vl", "Vl|Vh"))
+
+
+@pytest.mark.parametrize("make, groups, rotate45", [
+    (qutrit.make_qutrit, QUTRIT_GROUPS, lambda q: qutrit.rotate_basis(q, math.pi / 4)),
+    (ququart.make_ququart, QUQUART_GROUPS, ququart.rotate_basis_45),
+], ids=["qutrit", "ququart"])
+@pytest.mark.parametrize("basis", measurement.BASES)
+def test_magnitudes_round_trip(make, groups, rotate45, basis):
+    dim = len(groups)
+    cfg = measurement.ExperimentConfig(total_pairs=10**6, detector_efficiency=0.7, basis=basis)
+    for i in range(20):
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if i % 5 == 0:
+            amps[i % dim] = 0.0
+        state = make(*amps)
+        rec = measurement.expected_coincidences(state, cfg)
+        est = reconstruct.magnitudes_from_record(rec)
+        if basis == "natural":
+            got, want = est.magnitudes, np.abs(state.amplitudes)
+        else:
+            got, want = est.magnitudes45, np.abs(rotate45(state).amplitudes)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        # summing in setting order by hand gives the same bits
+        total = sum(rec.counts.values())
+        sq = np.array([sum(rec.counts[s] / total for s in g) for g in groups])
+        assert np.array_equal(got, np.sqrt(sq / sq.sum()))
 
 
 def test_magnitudes_missing_setting():
@@ -117,7 +145,7 @@ def test_merge_estimates_validation():
     assert merged.magnitudes is not None and merged.magnitudes45 is not None
     with pytest.raises(ValueError):
         reconstruct.merge_estimates(nat, nat)
-    s_rec, _ = ideal_records(ququart.make_ququart(1, 0, 0, 0), kind="ququart")
+    s_rec, _ = ideal_records(ququart.make_ququart(1, 0, 0, 0))
     with pytest.raises(ValueError):
         reconstruct.merge_estimates(nat, reconstruct.magnitudes_from_record(s_rec))
 
@@ -266,7 +294,7 @@ def test_qutrit_noisy_round_trip():
 def test_ququart_round_trip_spec_state():
     phases = np.array([math.pi / 4, -math.pi / 4, math.pi / 8, -math.pi / 8])
     s = ququart.make_ququart(*(0.5 * np.exp(1j * phases)))
-    res = reconstruct.ququart_phases(ideal_estimate(s, kind="ququart"))
+    res = reconstruct.ququart_phases(ideal_estimate(s))
     rep_true = ququart.quantify(s)
     best_k = min(
         abs(ququart.quantify(sol).schmidt_k - rep_true.schmidt_k)
@@ -287,7 +315,7 @@ def test_ququart_round_trip_spec_state():
 def test_ququart_round_trip_random_states():
     for _ in range(10):
         s = ququart.make_ququart(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        res = reconstruct.ququart_phases(ideal_estimate(s, kind="ququart"))
+        res = reconstruct.ququart_phases(ideal_estimate(s))
         assert any(
             matches_up_to_phase_or_conjugation(sol.amplitudes, s.amplitudes)
             for sol in res.solutions()
@@ -297,14 +325,14 @@ def test_ququart_round_trip_random_states():
 def test_ququart_single_amplitude_unobservable():
     s = ququart.make_ququart(1, 0, 0, 0)
     with pytest.raises(reconstruct.PhaseUnobservable) as err:
-        reconstruct.ququart_phases(ideal_estimate(s, kind="ququart"))
+        reconstruct.ququart_phases(ideal_estimate(s))
     res = err.value.result
     assert abs(ququart.quantify(res.state).schmidt_k - 2) <= 1e-9
 
 
 def test_ququart_bell_like_state():
     s = ququart.make_ququart(1, 1, 1, -1)
-    res = reconstruct.ququart_phases(ideal_estimate(s, kind="ququart"))
+    res = reconstruct.ququart_phases(ideal_estimate(s))
     best = min(
         abs(ququart.quantify(sol).schmidt_k - 4) for sol in res.solutions()
     )
@@ -313,7 +341,7 @@ def test_ququart_bell_like_state():
 
 def test_ququart_gauge_sum_zero():
     s = ququart.make_ququart(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
-    res = reconstruct.ququart_phases(ideal_estimate(s, kind="ququart"))
+    res = reconstruct.ququart_phases(ideal_estimate(s))
     for sol in res.solutions():
         total = np.sum(np.angle(sol.amplitudes))
         # the phase sum is fixed to zero modulo 2 pi
@@ -366,7 +394,7 @@ def test_ququart_shortcut_examples():
         ((math.cos(math.pi / 6), 0, 0, math.sin(math.pi / 6)), 3.2),
     ):
         s = ququart.make_ququart(*amps)
-        k, ci = reconstruct.ququart_real_shortcut(ideal_estimate(s, kind="ququart"))
+        k, ci = reconstruct.ququart_real_shortcut(ideal_estimate(s))
         assert abs(k - k_want) <= 1e-9
         assert abs(ci - math.sqrt(2 * (1 - 1 / k_want))) <= 1e-9
 
@@ -374,7 +402,7 @@ def test_ququart_shortcut_examples():
 def test_ququart_shortcut_random_real_states():
     for _ in range(25):
         s = ququart.make_ququart(*rng.normal(size=4))
-        k, ci = reconstruct.ququart_real_shortcut(ideal_estimate(s, kind="ququart"))
+        k, ci = reconstruct.ququart_real_shortcut(ideal_estimate(s))
         rep = ququart.quantify(s)
         assert abs(k - rep.schmidt_k) <= 1e-9
         assert abs(ci - rep.i_concurrence) <= 1e-9
@@ -465,15 +493,13 @@ def test_real_amplitude_round_trips_meet_criterion_8():
         assert truth_overlap(res, c) >= 1 - 1e-9
     for c in real_states(20, 4, 5):
         s = ququart.make_ququart(*c)
-        res = reconstruct.ququart_phases(ideal_estimate(s, kind="ququart"))
+        res = reconstruct.ququart_phases(ideal_estimate(s))
         assert truth_overlap(res, c) >= 1 - 1e-9
 
 
-def sampled_estimate(state, kind, seed):
-    sample = (measurement.sample_coincidences if kind == "qutrit"
-              else measurement.sample_coincidences_ququart)
+def sampled_estimate(state, seed):
     recs = [
-        sample(state, measurement.ExperimentConfig(
+        measurement.sample_coincidences(state, measurement.ExperimentConfig(
             total_pairs=10**6, basis=basis, noise="sampled", seed=seed + k))
         for k, basis in enumerate(("natural", "rotated45"))
     ]
@@ -487,12 +513,12 @@ def test_sampled_real_records_reconstruct():
     q = qutrit.make_qutrit(0.1623, -0.3346, -0.9283)
     c_true = qutrit.quantify(q).concurrence
     for seed in range(5):
-        res = reconstruct.qutrit_phases(sampled_estimate(q, "qutrit", 10 * seed))
+        res = reconstruct.qutrit_phases(sampled_estimate(q, 10 * seed))
         assert min(abs(qutrit.quantify(s).concurrence - c_true)
                    for s in res.solutions()) <= 0.05
     for seed, c in enumerate(real_states(10, 4, 7)):
         s = ququart.make_ququart(*c)
         ci_true = ququart.quantify(s).i_concurrence
-        res = reconstruct.ququart_phases(sampled_estimate(s, "ququart", 10 * seed))
+        res = reconstruct.ququart_phases(sampled_estimate(s, 10 * seed))
         assert min(abs(ququart.quantify(sol).i_concurrence - ci_true)
                    for sol in res.solutions()) <= 0.05
