@@ -136,10 +136,10 @@ class CoincidenceRecord:
 
     @property
     def kind(self):
-        # ququart settings carry the frequency letter, e.g. "Hh|Vl"
-        if any(len(k.split("|")[0]) > 1 for k in self.counts):
-            return "ququart"
-        return "qutrit"
+        # the kind whose settings the record shares most of (a qutrit when
+        # it shares none), so that a misspelt setting shows up as foreign to
+        # the record's own kind
+        return max(KINDS, key=lambda k: len(self.counts.keys() & set(KINDS[k].settings)))
 
     def total_coincidences(self):
         return sum(self.counts.values())

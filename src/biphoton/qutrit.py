@@ -303,7 +303,8 @@ def polarization(q):
         raise ConsistencyError(
             f"C^2 + P^2 = {c * c + p * p!r} deviates from 1"
         )
-    return PolarizationReport(xi=tuple(float(x) for x in xi), degree_p=p)
+    # + 0.0 turns a -0.0 component (a vanishing imaginary part) into 0.0
+    return PolarizationReport(xi=tuple(float(x) + 0.0 for x in xi), degree_p=p)
 
 
 def _rotation_matrix(alpha):

@@ -5,11 +5,15 @@ says nothing about phases.  Repeating the measurement in the 45-degree
 polarizer frame adds interference information: the rotated magnitudes obey
 a small set of cosine equations in the original phases.  This module turns
 a (natural, rotated45) record pair into magnitude estimates and solves those
-equations for the phases: closed forms (+-acos branches, and for a ququart
-a bisection along the curve one equation draws in two phase differences)
-give every candidate root, and damped Gauss-Newton steps with the analytic
-Jacobian polish each on the full equations, fitting noisy records in the
-least-squares sense.
+equations for the phases.  Closed forms give every candidate root: +-acos
+branches, and for a ququart a walk along the curve one equation draws in
+two phase differences, whose sign changes of a circle condition are
+bisected 20 times (to about 1e-8 rad).  Damped Gauss-Newton steps then
+polish every candidate on the full equations, fitting noisy records in the
+least-squares sense.  Both kinds polish through one kernel that returns the
+residuals and the analytic Jacobian of a cosine system from one cosine and
+one sine per term; only the survivors of the residual threshold are built
+into states.
 
 Phase conventions (gauges):
 
@@ -17,7 +21,13 @@ Phase conventions (gauges):
   remaining unknowns are the phases of C1 and C3.
 * ququart: only phase differences are observable, so the four phases are
   reported with their sum fixed to zero (restricted to the amplitudes above
-  the zero threshold when some vanish).
+  the zero threshold when some vanish).  Phases are reported modulo 2 pi,
+  so the sum is zero only modulo 2 pi: adding pi/2 to all four phases
+  keeps it, and the printed amplitudes are fixed only up to a factor i^k.
+  Which of the four the solver reports depends on the path its polish took;
+  the canonical order below sorts by the printed phases, so it can change
+  with it.  Compare ququart solutions, also across versions of this
+  package, up to a global phase.
 
 Two-basis data does not always pin the state uniquely.  Complex conjugation
 of all phases never changes any measured magnitude, so every solution comes
@@ -155,19 +165,20 @@ def magnitudes_from_record(rec):
     The settings probing one amplitude (the two orderings of a symmetric
     pair) are summed, the squared magnitudes renormalized to unit sum and
     the renormalization factor reported.  Raises IncompleteRecord when a
-    required setting is missing and MalformedRecord for negative or empty
-    counts.
+    required setting is missing and MalformedRecord for a setting foreign
+    to the record's kind or for negative or empty counts.
     """
     kind = rec.kind
     if rec.basis not in BASES:
         raise MalformedRecord(f"record basis {rec.basis!r} is not recognized")
     settings, probes, _ = KINDS[kind]
-    missing = [s for s in settings if s not in rec.counts]
-    if missing:
-        raise IncompleteRecord(f"record lacks settings {missing} for a {kind}")
+    # foreign first: a misspelt setting is also a missing one
     unknown = [s for s in rec.counts if s not in settings]
     if unknown:
         raise MalformedRecord(f"record has settings {unknown} foreign to a {kind}")
+    missing = [s for s in settings if s not in rec.counts]
+    if missing:
+        raise IncompleteRecord(f"record lacks settings {missing} for a {kind}")
     counts = [float(rec.counts[s]) for s in settings]
     if any(v < 0 for v in counts):
         raise MalformedRecord("negative coincidence count")
@@ -291,8 +302,6 @@ def _rms(eqs):
 # the amplitude pairs of ququart_phase_equations, two per equation
 _QUQUART_PAIRS = ((0, 2), (1, 3), (0, 1), (2, 3), (0, 3), (1, 2))
 _PAIR_A, _PAIR_B = np.array(_QUQUART_PAIRS).T
-# d(p_a - p_b)/dp for each pair, grouped by equation
-_INCIDENCE = (np.eye(4)[_PAIR_B] - np.eye(4)[_PAIR_A]).reshape(3, 2, 4)
 
 # the polish stops once no step moves a phase by STEP_TOL radians, and after
 # POLISH_STEPS at the latest; at a double root (real amplitudes) a step only
@@ -309,19 +318,48 @@ def _acos(x):
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
-def _qutrit_jacobian(m, phi1, phi3):
-    """Derivatives of qutrit_phase_equations by (phi1, phi3), shape (..., 2, 2)."""
+def _cosine_system(coef, forms, eq, rhs, basis):
+    """Residuals and Jacobian of a system of cosine equations, as one function.
+
+    Equation e reads sum of coef[t] cos(forms[t] . phases) over the terms t
+    with eq[t] = e, minus rhs[e], and the phases are x @ basis.  The returned
+    function maps free parameters x of shape (k, d) to the residuals (k, e)
+    and the Jacobian (k, e, d), both from one cosine and one sine of the
+    term angles.  The Jacobian's forms are multiplied through the basis
+    once here; the angles are taken from the phases, so they are those of
+    the public equations bit for bit (at a critical point of e2, where some
+    sines are pure rounding, those bits set the first step).
+    """
+    to_eq = coef[:, None] * np.eye(len(rhs))[list(eq)]
+    to_jac = -(to_eq[:, :, None] * (forms @ basis.T)[:, None, :]).reshape(len(coef), -1)
+    to_angle = forms.T
+    shape = (len(rhs), len(basis))
+
+    def fun(x):
+        theta = (x @ basis) @ to_angle
+        return np.cos(theta) @ to_eq - rhs, (np.sin(theta) @ to_jac).reshape(len(x), *shape)
+
+    return fun
+
+
+# each cosine of the equations as a linear form in the phases, and the
+# equation it belongs to: qutrit phi1 - phi3 (e1), phi1 and phi3 (e2);
+# ququart p_a - p_b for the pairs above
+_QUTRIT_FORMS, _QUTRIT_EQ = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), (0, 1, 1)
+_QUQUART_FORMS, _QUQUART_EQ = np.eye(4)[_PAIR_A] - np.eye(4)[_PAIR_B], (0, 0, 1, 1, 2, 2)
+
+
+def _qutrit_terms(m, n):
+    """qutrit_phase_equations as the (coef, forms, eq, rhs) of _cosine_system."""
     m1, m2, m3 = m
-    cross = m1 * m3 * np.sin(phi1 - phi3)
-    outer = -SQRT2 * m2 * np.array([m1 * np.sin(phi1), m3 * np.sin(phi3)])
-    return np.moveaxis(np.array([[cross, -cross], list(outer)]), (0, 1), (-2, -1))
+    n1, n2, n3 = n
+    return (np.array([-m1 * m3, SQRT2 * m2 * m1, SQRT2 * m2 * m3]), _QUTRIT_FORMS, _QUTRIT_EQ,
+            np.array([n2 * n2 - 0.5 * (m1 * m1 + m3 * m3), n1 * n1 - n3 * n3]))
 
 
-def _ququart_jacobian(m, phases):
-    """Derivatives of ququart_phase_equations by (p1..p4), shape (..., 3, 4)."""
-    p = np.stack(np.broadcast_arrays(*phases), axis=-1)
-    t = m[_PAIR_A] * m[_PAIR_B] * np.sin(p[..., _PAIR_A] - p[..., _PAIR_B])
-    return np.einsum("...ep,epj->...ej", t.reshape(t.shape[:-1] + (3, 2)), _INCIDENCE)
+def _ququart_terms(m, n):
+    """ququart_phase_equations as the (coef, forms, eq, rhs) of _cosine_system."""
+    return m[_PAIR_A] * m[_PAIR_B], _QUQUART_FORMS, _QUQUART_EQ, n[0] ** 2 + n[1:] ** 2 - 0.5
 
 
 def _polish(fun, x):
@@ -332,57 +370,64 @@ def _polish(fun, x):
     residual; the damping shrinks after a kept step and grows after a
     rejected one.
     """
+    x = np.array(x, dtype=float)
     r, jac = fun(x)
-    cost = np.sum(r * r, axis=1)
+    cost = np.einsum("ke,ke->k", r, r)
     damping = np.full(len(x), 1e-3)
     eye = np.eye(x.shape[1])
     for _ in range(POLISH_STEPS):
-        jt = np.swapaxes(jac, 1, 2)
-        jtj = jt @ jac
-        # the damping is relative to the size of J^T J, and its floors keep a
-        # singular J^T J (a double root, or J = 0) solvable
-        shift = damping * np.trace(jtj, axis1=1, axis2=2) + 1e-30
-        step = np.linalg.solve(jtj + shift[:, None, None] * eye, jt @ r[..., None])[..., 0]
-        if np.max(np.abs(step), initial=0.0) < STEP_TOL:
+        jt = np.ascontiguousarray(jac.transpose(0, 2, 1))
+        # the damping is relative to the size of J^T J (its trace), and its
+        # floors keep a singular J^T J (a double root, or J = 0) solvable
+        shift = damping * np.einsum("ked,ked->k", jac, jac) + 1e-30
+        step = np.linalg.solve(jt @ jac + shift[:, None, None] * eye, jt @ r[..., None])[..., 0]
+        if np.abs(step).max(initial=0.0) < STEP_TOL:
             break
         # wrapped, so that a long step across a near-singular J keeps the
         # phases precise
         x_new = _wrap(x - step)
         r_new, jac_new = fun(x_new)
-        cost_new = np.sum(r_new * r_new, axis=1)
+        cost_new = np.einsum("ke,ke->k", r_new, r_new)
         ok = cost_new < cost
-        x = np.where(ok[:, None], x_new, x)
-        r = np.where(ok[:, None], r_new, r)
-        jac = np.where(ok[:, None, None], jac_new, jac)
-        cost = np.where(ok, cost_new, cost)
-        damping = np.where(ok, np.maximum(damping * 0.1, 1e-14), damping * 10.0)
+        np.copyto(x, x_new, where=ok[:, None])
+        np.copyto(r, r_new, where=ok[:, None])
+        np.copyto(jac, jac_new, where=ok[:, None, None])
+        np.copyto(cost, cost_new, where=ok)
+        damping *= np.where(ok, 0.1, 10.0)
+        np.maximum(damping, 1e-14, out=damping, where=ok)
     return x
 
 
-def _rank_solutions(entries, noise_scale):
+def _rank_solutions(phases, rms, noise_scale, build):
     """Filter, dedupe and order refined solutions.
 
-    entries: non-empty list of (state, residual, display_phases).  Raises
-    Inconsistent when nothing survives the residual ceiling.  Returns the
-    survivors in canonical order (lexicographically smallest display phases
-    modulo 2 pi), physically identical duplicates removed in favour of the
-    one with the smallest residual.
+    phases: (k, n) display phases of k refined rows, rms: their residuals,
+    build: display phases -> state, called only for the rows kept.  Raises
+    Inconsistent when nothing survives the residual ceiling.  Returns
+    (state, residual, display_phases) entries in canonical order
+    (lexicographically smallest display phases modulo 2 pi), physically
+    identical duplicates removed in favour of the one with the smallest
+    residual.
     """
-    best = min(e[1] for e in entries)
+    best = float(np.min(rms))
     if best > RESIDUAL_CEILING:
         raise Inconsistent(
             f"no phase assignment fits the records (best rms mismatch {best:.4g})",
             best_residual=best,
         )
-    keep = [e for e in entries if e[1] <= _keep_threshold(best, noise_scale)]
-    keep.sort(key=lambda e: e[1])
-    out = []
-    seen = np.zeros((len(keep), len(keep[0][0].amplitudes)), dtype=complex)
-    for st, r, ph in keep:
-        overlap = np.abs(seen[:len(out)] @ st.amplitudes)
-        if np.max(overlap, initial=0.0) < 1.0 - OVERLAP_DEDUPE:
-            seen[len(out)] = np.conj(st.amplitudes)
-            out.append((st, r, ph))
+    keep = np.flatnonzero(rms <= _keep_threshold(best, noise_scale))
+    keep = keep[np.argsort(rms[keep], kind="stable")]
+    out, seen = [], None
+    for i in keep:
+        ph = tuple(phases[i].tolist())
+        st = build(ph)
+        amps = st.amplitudes
+        if seen is None:
+            seen = np.zeros((len(keep), amps.size), dtype=complex)
+        elif np.max(np.abs(seen[:len(out)] @ amps)) >= 1.0 - OVERLAP_DEDUPE:
+            continue
+        seen[len(out)] = np.conj(amps)
+        out.append((st, float(rms[i]), ph))
     out.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
     return out
 
@@ -401,20 +446,16 @@ def _pinned_warning(zero):
     return f"amplitudes {pinned} below the zero threshold; their phases are pinned to 0"
 
 
-def _solve(est, basis, x0, equations, jacobian, build):
+def _solve(est, basis, x0, terms, equations, build):
     """Polish the candidate rows x0 and rank the results.
 
-    The phases the equations take are x @ basis, so pinned phases stay 0.
+    terms = (coef, forms, eq, rhs) describe the cosine system (see
+    _cosine_system) in the phases, which are x @ basis, so pinned phases
+    stay 0.  The residuals are recomputed from the public equations.
     """
-    def fun(x):
-        p = list((x @ basis).T)
-        return np.stack(equations(p), axis=-1), jacobian(p) @ basis.T
-
-    entries = []
-    for x in _polish(fun, x0):
-        p = [float(v) for v in _wrap(x @ basis)]
-        entries.append((build(p), float(_rms(equations(p))), tuple(p)))
-    return _rank_solutions(entries, est.noise_scale)
+    phases = _wrap(_polish(_cosine_system(*terms, basis), x0) @ basis)
+    rms = _rms(equations(list(phases.T)))
+    return _rank_solutions(phases, rms, est.noise_scale, build)
 
 
 def _result(kind, ranked, gauge, warnings):
@@ -498,11 +539,8 @@ def qutrit_phases(est):
     free = [slot for slot, act in ((0, a1), (1, a3)) if act]
     if zero.any():
         warnings.append(_pinned_warning(zero))
-    ranked = _solve(
-        est, np.eye(2)[free], _qutrit_candidates(m, n, free),
-        lambda p: qutrit_phase_equations(m, n, *p),
-        lambda p: _qutrit_jacobian(m, *p), build,
-    )
+    ranked = _solve(est, np.eye(2)[free], _qutrit_candidates(m, n, free), _qutrit_terms(m, n),
+                    lambda p: qutrit_phase_equations(m, n, *p), build)
     return _result("qutrit", ranked, "phi2 = 0 (C2 real non-negative)", warnings)
 
 
@@ -511,9 +549,10 @@ def qutrit_phases(est):
 # ---------------------------------------------------------------------------
 
 # sample points per chart of the e2 curve, and bisection steps per bracket
-# (512 points are 0.012 rad apart; 40 halvings take that below 1e-14)
+# (512 points are 0.012 rad apart; 20 halvings take that to about 1e-8 rad,
+# from where the Gauss-Newton polish converges quadratically)
 CURVE_POINTS = 512
-BISECTIONS = 40
+BISECTIONS = 20
 
 
 def _w_system(m, rhs, u, v):
@@ -649,9 +688,8 @@ def ququart_phases(est):
     # the first len(active) - 1 present phases are free, the last one
     # balances the sum to zero
     basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
-    ranked = _solve(est, basis, _ququart_candidates(m, n, active),
-                    lambda p: ququart_phase_equations(m, n, p),
-                    lambda p: _ququart_jacobian(m, p), build)
+    ranked = _solve(est, basis, _ququart_candidates(m, n, active), _ququart_terms(m, n),
+                    lambda p: ququart_phase_equations(m, n, p), build)
     names = "+".join(f"phi{i + 1}" for i in active)
     gauge = (f"{names} = 0, phases of below-threshold amplitudes pinned to 0" if zero.any()
              else "phi1 + phi2 + phi3 + phi4 = 0")

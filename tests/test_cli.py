@@ -50,6 +50,12 @@ def test_quantify_product_qutrit_prints_positive_zero_entropy(capsys):
     assert '"entropy":0,' in out
 
 
+def test_quantify_product_qutrit_prints_positive_zero_polarization(capsys):
+    code, out, err = run_cli(capsys, "quantify", "--amplitudes", "[1,0,0]")
+    assert code == 0, err
+    assert '"polarization":{"degree_p":1,"xi":[0,0,1]}' in out
+
+
 def test_quantify_maximal_ququart(capsys):
     amp = 1 / math.sqrt(2)
     doc = run_json(capsys, "quantify", "--kind", "ququart",
@@ -270,6 +276,20 @@ def test_reconstruct_phase_unobservable_still_succeeds(tmp_path, capsys):
     assert doc["warnings"]
     amps = np.array([complex(a["re"], a["im"]) for a in doc["amplitudes"]])
     assert abs(qutrit.concurrence(qutrit.make_qutrit(*amps)) - 1) <= 1e-6
+
+
+def test_reconstruct_names_misspelt_setting(tmp_path, capsys):
+    # a qutrit record with one misspelt setting stays a qutrit record
+    paths = write_records(tmp_path, qutrit.make_qutrit(0.8, 0.36j, 0.48))
+    doc = json.loads(open(paths[0]).read())
+    doc["counts"]["VV|V"] = doc["counts"].pop("V|V")
+    with open(paths[0], "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    code, out, err = run_cli(capsys, "reconstruct", *paths)
+    assert code == 2
+    assert out == ""
+    assert "'VV|V'" in err and "foreign to a qutrit" in err
+    assert "Traceback" not in err
 
 
 def test_reconstruct_corrupted_records_exit_code(tmp_path, capsys):

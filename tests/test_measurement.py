@@ -2,6 +2,7 @@
 and sampled records in both bases, conditional and single-particle
 probabilities, record serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -249,6 +250,14 @@ def test_record_kind_detection():
     s = ququart.make_ququart(1, 1, 0, 0)
     rec = measurement.expected_coincidences(s, cfg)
     assert rec.kind == "ququart"
+    # a misspelt setting leaves the kind to the settings the record shares
+    q = measurement.expected_coincidences(random_qutrit(), cfg)
+    counts = dict(q.counts)
+    counts["VV|V"] = counts.pop("V|V")
+    assert dataclasses.replace(q, counts=counts).kind == "qutrit"
+    counts = dict(rec.counts)
+    counts["Hhh|Hl"] = counts.pop("Hh|Hl")
+    assert dataclasses.replace(rec, counts=counts).kind == "ququart"
 
 
 def test_from_dict_rejects_bad_schema():

@@ -309,6 +309,16 @@ def test_polarization_examples():
     assert pol.degree_p <= 1e-12
 
 
+def test_polarization_components_are_never_negative_zero():
+    for amps in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]):
+        xi = qutrit.polarization(qutrit.make_qutrit(*amps)).xi
+        assert all(math.copysign(1.0, x) == 1.0 for x in xi if x == 0.0)
+    # nonzero components keep their bits
+    q = qutrit.make_qutrit(0.3, 0.5j, -0.2)
+    assert qutrit.polarization(q).xi == tuple(
+        float(x) for x in qutrit._polarization_vector(q))
+
+
 def test_polarization_anticorrelation():
     for _ in range(50):
         q = random_qutrit()

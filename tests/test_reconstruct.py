@@ -450,19 +450,30 @@ def central_jacobian(fun, x, h=1e-6):
 
 
 def test_phase_jacobians_match_central_differences():
+    # the polish's fused residual and Jacobian kernel against the public
+    # equation helpers, with all phases free and with a pinned amplitude
     gen = np.random.default_rng(12)
+    kinds = (
+        (3, reconstruct._qutrit_terms,
+         lambda m, n, p: reconstruct.qutrit_phase_equations(m, n, *p),
+         (np.eye(2), np.eye(2)[[0]])),
+        (4, reconstruct._ququart_terms, reconstruct.ququart_phase_equations,
+         (np.eye(4), np.eye(4)[[0, 1]] - np.eye(4)[3])),
+    )
     for _ in range(20):
         m = np.abs(gen.normal(size=4))
         n = np.abs(gen.normal(size=4))
         x = gen.uniform(-math.pi, math.pi, size=4)
-        want = central_jacobian(
-            lambda p: reconstruct.qutrit_phase_equations(m[:3], n[:3], *p), x[:2])
-        got = reconstruct._qutrit_jacobian(m[:3], *x[:2])
-        assert np.max(np.abs(got - want)) <= 1e-8
-        want = central_jacobian(
-            lambda p: reconstruct.ququart_phase_equations(m, n, p), x)
-        got = reconstruct._ququart_jacobian(m, x)
-        assert np.max(np.abs(got - want)) <= 1e-8
+        for dim, terms, equations, bases in kinds:
+            md, nd = m[:dim], n[:dim]
+            for basis in bases:
+                def public(y):
+                    return np.array(equations(md, nd, list(y @ basis)))
+
+                y = x[:len(basis)]
+                r, jac = reconstruct._cosine_system(*terms(md, nd), basis)(y[None])
+                assert np.max(np.abs(r[0] - public(y))) <= 1e-15
+                assert np.max(np.abs(jac[0] - central_jacobian(public, y))) <= 1e-8
 
 
 def real_states(n, dim, seed):
