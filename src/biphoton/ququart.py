@@ -28,7 +28,6 @@ import numpy as np
 from .tensor import (
     ConsistencyError,
     hermitian_eig,
-    purity,
     schmidt_from_symmetric,
     schmidt_number,
     vn_entropy,
@@ -120,14 +119,16 @@ def basis_wavefunction(label):
     return (np.kron(e[i], e[j]) + np.kron(e[j], e[i])) / SQRT2
 
 
+# the mode pair of each basis state in BASIS_LABELS order, as (rows, columns)
+_PAIR_INDEX = tuple(np.array([_BASIS_PAIRS[label] for label in BASIS_LABELS]).T)
+
+
 def amplitude_matrix(s):
     """Symmetric 4x4 amplitude matrix on the single-photon mode basis."""
     m = np.zeros((4, 4), dtype=complex)
-    for c, label in zip(s.amplitudes, BASIS_LABELS):
-        i, j = _BASIS_PAIRS[label]
-        m[i, j] += c / SQRT2
-        m[j, i] += c / SQRT2
-    return m
+    m[_PAIR_INDEX] = s.amplitudes / SQRT2
+    # no pair is its own mirror, so each entry sums one amplitude with a zero
+    return m + m.T
 
 
 def wavefunction(s):
@@ -151,18 +152,19 @@ def reduced_density(s):
     Checkerboard structure: the (Hh, Vh) and (Hl, Vl) mode pairs decouple
     into two 2x2 blocks, each of trace 1/2.
     """
-    c1, c2, c3, c4 = s.amplitudes
-    a = np.array(
-        [abs(c1) ** 2 + abs(c2) ** 2, abs(c1) ** 2 + abs(c3) ** 2,
-         abs(c3) ** 2 + abs(c4) ** 2, abs(c2) ** 2 + abs(c4) ** 2]
-    ) / 2.0
-    x = (c1 * np.conj(c3) + c2 * np.conj(c4)) / 2.0  # Hh-Vh coherence
-    y = (c1 * np.conj(c2) + c3 * np.conj(c4)) / 2.0  # Hl-Vl coherence
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a
-    rho[0, 2], rho[2, 0] = x, np.conj(x)
-    rho[1, 3], rho[3, 1] = y, np.conj(y)
-    return rho
+    # Python complex arithmetic rounds as numpy's scalars do, without their
+    # per-operation call cost
+    c1, c2, c3, c4 = s.amplitudes.tolist()
+    p1, p2, p3, p4 = (abs(c) ** 2 for c in (c1, c2, c3, c4))
+    x = (c1 * c3.conjugate() + c2 * c4.conjugate()) / 2.0  # Hh-Vh coherence
+    y = (c1 * c2.conjugate() + c3 * c4.conjugate()) / 2.0  # Hl-Vl coherence
+    return np.array(
+        [[(p1 + p2) / 2.0, 0, x, 0],
+         [0, (p1 + p3) / 2.0, 0, y],
+         [x.conjugate(), 0, (p3 + p4) / 2.0, 0],
+         [0, y.conjugate(), 0, (p2 + p4) / 2.0]],
+        dtype=complex,
+    )
 
 
 def _pair_determinant(s):
@@ -178,18 +180,21 @@ def quantify(s):
         K   = 2 / (1 - 2 D)        (in [2, 4])
         C_I = sqrt(1 + 2 D)        (in [1, sqrt(1.5)])
 
-    K is cross-checked at call time against 1/Tr(rho_r^2) from an explicit
-    partial trace over the 16-dimensional product space, and C_I against
-    sqrt(2 (1 - 1/K)).  The four reduced eigenvalues and their entropy come
-    from the closed-form reduced matrix.
+    K is cross-checked at call time against 1/Tr(rho_r^2) with
+    rho_r = M M^dagger built from the 4x4 amplitude matrix M, a route that
+    does not pass through D, and C_I against sqrt(2 (1 - 1/K)).  The four reduced
+    eigenvalues and their entropy come from the closed-form reduced matrix.
     """
     d = abs(_pair_determinant(s)) ** 2
     k = 2.0 / (1.0 - 2.0 * d)
     ci = math.sqrt(1.0 + 2.0 * d)
-    k_oracle = schmidt_number(wavefunction(s), 4)
+    m = amplitude_matrix(s)
+    rho_r = m @ m.conj().T
+    # Tr(rho_r^2) is the squared Frobenius norm of the Hermitian rho_r
+    k_oracle = 1.0 / np.vdot(rho_r, rho_r).real
     if abs(k - k_oracle) > ORACLE_TOL:
         raise ConsistencyError(
-            f"closed-form K={k!r} disagrees with partial-trace K={k_oracle!r}"
+            f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
         )
     ci_from_k = math.sqrt(2.0 * (1.0 - 1.0 / k))
     if abs(ci - ci_from_k) > ORACLE_TOL:
@@ -256,18 +261,20 @@ def two_qubit_model(s):
     d = abs(det) ** 2
     c2qb = 2.0 * abs(det)
     k2qb = 1.0 / (1.0 - 2.0 * d)
-    c1, c2, c3, c4 = s.amplitudes
-    cross = c1 * np.conj(c3) + c2 * np.conj(c4)
+    c1, c2, c3, c4 = s.amplitudes.tolist()
+    cross = c1 * c3.conjugate() + c2 * c4.conjugate()
     rho = np.array(
         [
             [abs(c1) ** 2 + abs(c2) ** 2, cross],
-            [np.conj(cross), abs(c3) ** 2 + abs(c4) ** 2],
+            [cross.conjugate(), abs(c3) ** 2 + abs(c4) ** 2],
         ],
         dtype=complex,
     )
-    if abs(k2qb - 1.0 / purity(rho)) > ORACLE_TOL:
+    # Tr(rho^2) is the squared Frobenius norm of the Hermitian rho
+    k_oracle = 1.0 / np.vdot(rho, rho).real
+    if abs(k2qb - k_oracle) > ORACLE_TOL:
         raise ConsistencyError(
-            f"two-qubit K={k2qb!r} disagrees with 1/Tr(rho^2)={1.0 / purity(rho)!r}"
+            f"two-qubit K={k2qb!r} disagrees with 1/Tr(rho^2)={k_oracle!r}"
         )
     k_full = 2.0 / (1.0 - 2.0 * d)
     if abs(k_full - 2.0 * k2qb) > ORACLE_TOL:

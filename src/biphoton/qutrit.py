@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    ConsistencyError,
-    schmidt_from_symmetric,
-    schmidt_number,
-    vn_entropy,
-)
+from .tensor import ConsistencyError, schmidt_from_symmetric, vn_entropy
 
 SQRT2 = math.sqrt(2.0)
 
@@ -223,15 +218,18 @@ def quantify(q):
     Closed forms: C = |2 C1 C3 - C2^2|, K = 2/(2 - C^2), reduced eigenvalues
     lambda_+- = (1 +- P)/2 with P the degree of polarization, and their
     entropy in bits.  K is cross-checked at call time against 1/Tr(rho_r^2)
-    with rho_r obtained by an explicit partial trace of the 4x4 density
-    matrix.
+    with rho_r = M M^dagger built from the 2x2 amplitude matrix M, a route
+    that does not pass through C.
     """
     c = concurrence(q)
     k = 2.0 / (2.0 - c * c)
-    k_oracle = schmidt_number(wavefunction(q), 2)
+    m = amplitude_matrix(q)
+    rho_r = m @ m.conj().T
+    # Tr(rho_r^2) is the squared Frobenius norm of the Hermitian rho_r
+    k_oracle = 1.0 / np.vdot(rho_r, rho_r).real
     if abs(k - k_oracle) > ORACLE_TOL:
         raise ConsistencyError(
-            f"closed-form K={k!r} disagrees with partial-trace K={k_oracle!r}"
+            f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
         )
     # lambda_+- = (1 +- P)/2: P = sqrt(1 - C^2) by C^2 + P^2 = 1, but P from
     # the amplitudes stays accurate where sqrt(1 - C^2) loses half the digits

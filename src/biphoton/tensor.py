@@ -86,12 +86,13 @@ def hermitian_eig(m, tol=HERMITIAN_TOL):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.conj().T).max()) > tol * scale:
+    off = np.abs(m - m.conj().T).max()
+    # the scale is at least 1, so it matters only once off exceeds tol
+    if off > tol and off > tol * max(1.0, np.abs(m).max()):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
-    # eigh sorts ascending; flip to descending
-    return vals[::-1].real.copy(), vecs[:, ::-1].copy()
+    # eigh sorts ascending; flip to descending (views of eigh's fresh arrays)
+    return vals[::-1], vecs[:, ::-1]
 
 
 def purity(rho):
@@ -117,17 +118,22 @@ def vn_entropy(eigvals, clip=1e-12):
     """Von Neumann entropy in bits from a set of eigenvalues.
 
     Eigenvalues are clipped to [0, 1] after checking that nothing is more
-    negative than ``-clip``; the 0*log(0) = 0 convention applies.
+    negative than ``-clip``; the 0*log(0) = 0 convention applies.  A NaN
+    entry contributes nothing and, like numpy's min, disables the check.
     """
-    lam = np.asarray(eigvals, dtype=float)
-    if lam.size and float(lam.min()) < -clip:
+    lam = np.asarray(eigvals, dtype=float).ravel().tolist()
+    if lam and not any(x != x for x in lam) and min(lam) < -clip:
         raise ConsistencyError(
-            f"eigenvalue {lam.min():.3e} below the positivity tolerance"
+            f"eigenvalue {min(lam):.3e} below the positivity tolerance"
         )
-    lam = np.clip(lam, 0.0, 1.0)
-    nz = lam[lam > 0.0]
+    # summed in order from 0.0, as numpy sums fewer than eight terms
+    acc = 0.0
+    for x in lam:
+        if x > 0.0:
+            x = min(x, 1.0)
+            acc += x * np.log2(x)
     # adding +0.0 turns the -0.0 of a pure state into 0.0 and nothing else
-    return float(-(nz * np.log2(nz)).sum()) + 0.0
+    return float(-acc) + 0.0
 
 
 def takagi(m, tol=HERMITIAN_TOL):
@@ -151,18 +157,20 @@ def takagi(m, tol=HERMITIAN_TOL):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > tol * scale:
+    off = np.abs(m - m.T).max()
+    # the scale is at least 1, so it matters only once off exceeds tol
+    if off > tol and off > tol * max(1.0, np.abs(m).max()):
         raise ValueError("matrix is not complex symmetric within tolerance")
     n = m.shape[0]
-    re, im = m.real, m.imag
-    t = np.block([[re, im], [im, -re]])
+    t = np.empty((2 * n, 2 * n))
+    t[:n, :n] = m.real
+    t[:n, n:] = m.imag
+    t[n:, :n] = m.imag
+    np.negative(m.real, out=t[n:, n:])
     vals, vecs = np.linalg.eigh(t)
     # keep the n largest eigenvalues (the non-negative half), descending
-    svals = vals[::-1][:n]
     xy = vecs[:, ::-1][:, :n]
-    modes = xy[:n, :] + 1j * xy[n:, :]
-    return np.maximum(svals, 0.0).copy(), modes.copy()
+    return np.maximum(vals[::-1][:n], 0.0), xy[:n] + 1j * xy[n:]
 
 
 class SchmidtDecomposition:
