@@ -233,7 +233,7 @@ def quantify(q):
         )
     # lambda_+- = (1 +- P)/2: P = sqrt(1 - C^2) by C^2 + P^2 = 1, but P from
     # the amplitudes stays accurate where sqrt(1 - C^2) loses half the digits
-    p = min(1.0, math.hypot(*_polarization_vector(q)))
+    p = _degree_p(_polarization_vector(q))
     lam_p = (1.0 + p) / 2.0
     lam_m = (1.0 - p) / 2.0
     return EntanglementReport(
@@ -288,14 +288,20 @@ def _polarization_vector(q):
     return (SQRT2 * cross.real, -SQRT2 * cross.imag, abs(q.c1) ** 2 - abs(q.c3) ** 2)
 
 
+def _degree_p(xi):
+    # P = |xi|, held at 1 where rounding would push a product state past it;
+    # the one P behind both quantify's lambdas and polarization's degree_p
+    return min(1.0, math.hypot(*xi))
+
+
 def polarization(q):
     """Single-photon polarization vector xi = Tr(rho_r sigma) and its degree P.
 
     The anti-correlation C^2 + P^2 = 1 with the concurrence is verified at
     call time.
     """
-    xi = np.array(_polarization_vector(q))
-    p = float(np.linalg.norm(xi))
+    xi = _polarization_vector(q)
+    p = _degree_p(xi)
     c = concurrence(q)
     if abs(c * c + p * p - 1.0) > ORACLE_TOL:
         raise ConsistencyError(

@@ -328,6 +328,21 @@ def test_polarization_anticorrelation():
         assert abs(pol.degree_p - np.linalg.norm(pol.xi)) <= 1e-12
 
 
+def test_degree_p_is_the_p_behind_the_lambdas():
+    # one P per qutrit: polarization's degree_p is the P of quantify's
+    # lambda_+- = (1 +- P)/2, bit for bit, and never exceeds 1
+    local = np.random.default_rng(5150)
+    states = [qutrit.make_qutrit(*(local.normal(size=3) + 1j * local.normal(size=3)))
+              for _ in range(2000)]
+    states += [qutrit.non_entangled_family(phi, 0.3, -1.1)
+               for phi in np.linspace(0, math.pi, 41)]
+    for q in states:
+        rep, pol = qutrit.quantify(q), qutrit.polarization(q)
+        assert (1.0 + pol.degree_p) / 2.0 == rep.lambda_plus
+        assert (1.0 - pol.degree_p) / 2.0 == rep.lambda_minus
+        assert pol.degree_p <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # basis rotation
 
