@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,10 +282,9 @@ def test_reconstruct_phase_unobservable_still_succeeds(tmp_path, capsys):
 def test_reconstruct_names_misspelt_setting(tmp_path, capsys):
     # a qutrit record with one misspelt setting stays a qutrit record
     paths = write_records(tmp_path, qutrit.make_qutrit(0.8, 0.36j, 0.48))
-    doc = json.loads(open(paths[0]).read())
+    doc = json.loads(Path(paths[0]).read_text())
     doc["counts"]["VV|V"] = doc["counts"].pop("V|V")
-    with open(paths[0], "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    Path(paths[0]).write_text(json.dumps(doc) + "\n")
     code, out, err = run_cli(capsys, "reconstruct", *paths)
     assert code == 2
     assert out == ""
@@ -376,13 +376,12 @@ def test_simulate_rejects_pairs_beyond_the_sampler(capsys):
 def test_reconstruct_rejects_malformed_record_values(tmp_path, capsys, field, value):
     q = qutrit.make_qutrit(0.6, 0.3, 0.8)
     path_n, path_r = write_records(tmp_path, q)
-    doc = json.loads(open(path_n).read())
+    doc = json.loads(Path(path_n).read_text())
     if field in doc:
         doc[field] = "@"
     else:
         doc["counts"][field] = "@"
-    with open(path_n, "w") as fh:
-        fh.write(json.dumps(doc).replace('"@"', value) + "\n")
+    Path(path_n).write_text(json.dumps(doc).replace('"@"', value) + "\n")
     code, out, err = run_cli(capsys, "reconstruct", path_n, path_r)
     assert code == 2
     assert out == ""
