@@ -116,6 +116,36 @@ def test_hermitian_eig_rejects_non_hermitian():
         tensor.hermitian_eig(m)
 
 
+def test_hermitian_eig_rejects_non_square():
+    for m in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(tensor.BadDimension):
+            tensor.hermitian_eig(m)
+
+
+def test_hermitian_eig_tolerance_scales_with_the_largest_entry():
+    # asymmetry up to HERMITIAN_TOL * max(1, max |m_ij|) passes
+    for scale in (1e-3, 1.0, 1e6):
+        m = np.diag([scale, scale / 2]).astype(complex)
+        tol = tensor.HERMITIAN_TOL * max(1.0, scale)
+        m[0, 1] = 0.9 * tol
+        tensor.hermitian_eig(m)
+        m[0, 1] = 1.1 * tol
+        with pytest.raises(tensor.NotHermitian):
+            tensor.hermitian_eig(m)
+
+
+def test_hermitian_eig_values_descend():
+    vals, vecs = tensor.hermitian_eig(np.diag([0.1, 0.7, 0.2, 0.7]))
+    assert vals.tolist() == [0.7, 0.7, 0.2, 0.1]
+    assert np.array_equal(np.abs(vecs[:, 2]), [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(np.abs(vecs[:, 3]), [1.0, 0.0, 0.0, 0.0])
+    local = np.random.default_rng(4)
+    for _ in range(20):
+        a = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))
+        vals, _ = tensor.hermitian_eig(a + a.conj().T)
+        assert np.all(vals[:-1] >= vals[1:])
+
+
 # ---------------------------------------------------------------------------
 # purity and Schmidt number
 
@@ -159,6 +189,50 @@ def test_vn_entropy_clips_float_noise():
         tensor.vn_entropy(np.array([1.1, -0.1]))
 
 
+def test_vn_entropy_positivity_threshold():
+    assert tensor.vn_entropy([1.0, -1e-12]) == 0.0
+    with pytest.raises(tensor.ConsistencyError, match="-1.000e-12"):
+        tensor.vn_entropy([1.0, math.nextafter(-1e-12, -1.0)])
+    with pytest.raises(tensor.ConsistencyError, match="-1.000e-06"):
+        tensor.vn_entropy([1.0, -1e-6], clip=1e-7)
+    with pytest.raises(tensor.ConsistencyError):
+        tensor.vn_entropy([-math.inf, 1.0])
+
+
+def test_vn_entropy_clips_at_one():
+    assert tensor.vn_entropy([2.0, 0.5]) == 0.5
+    assert tensor.vn_entropy([math.inf]) == 0.0
+    assert math.copysign(1.0, tensor.vn_entropy([1.5])) == 1.0
+
+
+def test_vn_entropy_of_nothing_is_positive_zero():
+    for lam in ([], np.array([]), [0.0, -0.0]):
+        out = tensor.vn_entropy(lam)
+        assert out == 0.0 and math.copysign(1.0, out) == 1.0
+
+
+def test_vn_entropy_nan_entries():
+    # a NaN entry adds nothing, and a NaN anywhere disables the positivity
+    # check in either order (numpy's min is NaN when any entry is)
+    nan = math.nan
+    assert tensor.vn_entropy([nan]) == 0.0
+    assert tensor.vn_entropy([0.5, nan, 0.5]) == 1.0
+    assert tensor.vn_entropy(np.array([0.5, 0.5, nan])) == 1.0
+    assert tensor.vn_entropy([nan, -0.5]) == 0.0
+    assert tensor.vn_entropy([-0.5, nan]) == 0.0
+
+
+def test_vn_entropy_matches_the_array_formula_bit_for_bit():
+    # the numpy formula sums its few terms in order, as the loop does
+    local = np.random.default_rng(7)
+    for size in (1, 2, 3, 4, 7):
+        for _ in range(200):
+            lam = local.dirichlet(np.ones(size))
+            lam[local.random(size) < 0.2] = 0.0
+            nz = lam[lam > 0.0]
+            assert tensor.vn_entropy(lam) == float(-(nz * np.log2(nz)).sum()) + 0.0
+
+
 # ---------------------------------------------------------------------------
 # Takagi / symmetric Schmidt decomposition
 
@@ -172,6 +246,20 @@ def test_takagi_reconstructs_symmetric_matrix():
         assert np.all(svals >= 0)
         assert np.all(np.diff(svals) <= 1e-12)
         assert np.max(np.abs(modes.conj().T @ modes - np.eye(2))) <= 1e-10
+
+
+def test_takagi_rejects_non_square_and_non_symmetric():
+    for m in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(tensor.BadDimension):
+            tensor.takagi(m)
+    m = np.array([[1.0, 0.5j], [0.5j, 0.0]])
+    tensor.takagi(m)
+    m[0, 1] += 1.1 * tensor.HERMITIAN_TOL
+    with pytest.raises(ValueError, match="not complex symmetric"):
+        tensor.takagi(m)
+    # symmetric, not Hermitian: the transpose counts, not the adjoint
+    m = np.array([[0.0, 1j], [1j, 0.0]])
+    assert np.allclose(tensor.takagi(m)[0], [1.0, 1.0])
 
 
 def test_schmidt_from_symmetric_drops_null_terms():
