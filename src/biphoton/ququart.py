@@ -139,8 +139,9 @@ def wavefunction(s):
 def density_matrix(s):
     """Full 16x16 two-photon density matrix |psi><psi|.
 
-    Too large to be worth printing by default; kept as the starting
-    point for the partial-trace oracle.
+    Too large to be worth printing by default; `biphoton quantify
+    --dump-density` prints it.  No quantifier builds it: the call-time K
+    check takes the reduced matrix as M M^dagger instead.
     """
     psi = wavefunction(s)
     return np.outer(psi, np.conj(psi))
@@ -182,8 +183,9 @@ def quantify(s):
 
     K is cross-checked at call time against 1/Tr(rho_r^2) with
     rho_r = M M^dagger built from the 4x4 amplitude matrix M, a route that
-    does not pass through D, and C_I against sqrt(2 (1 - 1/K)).  The four reduced
-    eigenvalues and their entropy come from the closed-form reduced matrix.
+    does not pass through D, and C_I against sqrt(2 (1 - 1/K)).  The four
+    reduced eigenvalues and their entropy come from the closed-form reduced
+    matrix.
     """
     d = abs(_pair_determinant(s)) ** 2
     k = 2.0 / (1.0 - 2.0 * d)

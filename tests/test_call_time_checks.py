@@ -1,5 +1,6 @@
 """Each call-time check of a closed form against an independent route still
-runs and fires: a closed-form input off by 1e-6 raises ConsistencyError.
+runs and fires: it passes a generic state, and raises ConsistencyError on the
+same state once a closed-form input is off by 1e-6.
 Also pins the accuracy of the M M^dagger route behind the K checks."""
 
 import math
@@ -33,18 +34,21 @@ def shifted(monkeypatch, module, name):
 
 
 def test_qutrit_k_check_fires(monkeypatch):
+    qutrit.quantify(QUTRIT)
     shifted(monkeypatch, qutrit, "concurrence")
     with pytest.raises(ConsistencyError, match="closed-form K"):
         qutrit.quantify(QUTRIT)
 
 
 def test_qutrit_anticorrelation_check_fires(monkeypatch):
+    qutrit.polarization(QUTRIT)
     shifted(monkeypatch, qutrit, "concurrence")
     with pytest.raises(ConsistencyError, match=r"C\^2 \+ P\^2"):
         qutrit.polarization(QUTRIT)
 
 
 def test_ququart_k_check_fires(monkeypatch):
+    ququart.quantify(QUQUART)
     shifted(monkeypatch, ququart, "_pair_determinant")
     with pytest.raises(ConsistencyError, match="closed-form K"):
         ququart.quantify(QUQUART)
@@ -53,6 +57,7 @@ def test_ququart_k_check_fires(monkeypatch):
 def test_ququart_i_concurrence_check_fires(monkeypatch):
     # C_I = sqrt(1 + 2 D) is the first square root quantify takes; D itself
     # feeds both sides of this check, so the shift goes on the root
+    ququart.quantify(QUQUART)
     calls = []
 
     def sqrt(x):
@@ -66,16 +71,10 @@ def test_ququart_i_concurrence_check_fires(monkeypatch):
 
 
 def test_two_qubit_purity_check_fires(monkeypatch):
+    ququart.two_qubit_model(QUQUART)
     shifted(monkeypatch, ququart, "_pair_determinant")
     with pytest.raises(ConsistencyError, match="two-qubit K"):
         ququart.two_qubit_model(QUQUART)
-
-
-def test_checks_pass_unshifted():
-    qutrit.quantify(QUTRIT)
-    qutrit.polarization(QUTRIT)
-    ququart.quantify(QUQUART)
-    ququart.two_qubit_model(QUQUART)
 
 
 def oracle_purities(monkeypatch):
