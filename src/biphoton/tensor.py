@@ -75,6 +75,13 @@ def partial_trace(rho, d, which="second"):
     raise ValueError("which must be 'first' or 'second'")
 
 
+def _beyond_tolerance(m, mirror, tol):
+    # max |m - mirror| against tol * max(1, max |m_ij|); the scale is at
+    # least 1, so it is needed only once the difference exceeds tol itself
+    off = np.abs(m - mirror).max()
+    return off > tol and off > tol * max(1.0, np.abs(m).max())
+
+
 def hermitian_eig(m, tol=HERMITIAN_TOL):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -86,9 +93,7 @@ def hermitian_eig(m, tol=HERMITIAN_TOL):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    off = np.abs(m - m.conj().T).max()
-    # the scale is at least 1, so it matters only once off exceeds tol
-    if off > tol and off > tol * max(1.0, np.abs(m).max()):
+    if _beyond_tolerance(m, m.conj().T, tol):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
     # eigh sorts ascending; flip to descending (views of eigh's fresh arrays)
@@ -157,9 +162,7 @@ def takagi(m, tol=HERMITIAN_TOL):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    off = np.abs(m - m.T).max()
-    # the scale is at least 1, so it matters only once off exceeds tol
-    if off > tol and off > tol * max(1.0, np.abs(m).max()):
+    if _beyond_tolerance(m, m.T, tol):
         raise ValueError("matrix is not complex symmetric within tolerance")
     n = m.shape[0]
     t = np.empty((2 * n, 2 * n))
