@@ -27,18 +27,22 @@ import numpy as np
 
 from .tensor import (
     ConsistencyError,
-    hermitian_eig,
     schmidt_from_symmetric,
     schmidt_number,
     vn_entropy,
 )
 from .qutrit import (
+    _degree_p,
+    _spectrum,
     concurrence as qutrit_concurrence,
     unit_scale,
     wavefunction as qutrit_wavefunction,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# numpy divides a complex by a real as a product with the reciprocal
+_INV_SQRT2 = 1.0 / SQRT2
 
 ORACLE_TOL = 1e-12
 
@@ -119,16 +123,22 @@ def basis_wavefunction(label):
     return (np.kron(e[i], e[j]) + np.kron(e[j], e[i])) / SQRT2
 
 
-# the mode pair of each basis state in BASIS_LABELS order, as (rows, columns)
-_PAIR_INDEX = tuple(np.array([_BASIS_PAIRS[label] for label in BASIS_LABELS]).T)
-
-
 def amplitude_matrix(s):
-    """Symmetric 4x4 amplitude matrix on the single-photon mode basis."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[_PAIR_INDEX] = s.amplitudes / SQRT2
-    # no pair is its own mirror, so each entry sums one amplitude with a zero
-    return m + m.T
+    """Symmetric 4x4 amplitude matrix on the single-photon mode basis.
+
+    Entry (i, j) and its mirror hold C/sqrt(2) for the basis state that
+    symmetrizes modes i and j (see _BASIS_PAIRS); the other entries are zero.
+    """
+    # each part rounds as numpy's complex C / sqrt(2) does; + 0j turns a
+    # -0.0 part into 0.0, so no entry holds a negative zero
+    a1, a2, a3, a4 = [complex(c) * _INV_SQRT2 + 0j for c in (s.c1, s.c2, s.c3, s.c4)]
+    z = 0j
+    return np.array(
+        [[z, a1, z, a2],
+         [a1, z, a3, z],
+         [z, a3, z, a4],
+         [a2, z, a4, z]]
+    )
 
 
 def wavefunction(s):
@@ -151,7 +161,10 @@ def reduced_density(s):
     """Reduced 4x4 single-photon density matrix (either photon, by symmetry).
 
     Checkerboard structure: the (Hh, Vh) and (Hl, Vl) mode pairs decouple
-    into two 2x2 blocks, each of trace 1/2.
+    into two 2x2 blocks, each of trace 1/2.  Both blocks have the
+    eigenvalues (1 +- P_h)/4, with P_h the polarization degree of the
+    high-frequency photon, so quantify takes the spectrum in closed form;
+    this matrix serves the tests and the benchmark as its oracle.
     """
     # Python complex arithmetic rounds as numpy's scalars do, without their
     # per-operation call cost
@@ -173,42 +186,57 @@ def _pair_determinant(s):
     return s.c1 * s.c4 - s.c2 * s.c3
 
 
+def _polarization_h(s):
+    # Stokes vector of the high-frequency photon, whose state is twice the
+    # (Hh, Vh) block of reduced_density; components ordered as the qutrit's xi
+    c1, c2, c3, c4 = map(complex, (s.c1, s.c2, s.c3, s.c4))
+    x = c1 * c3.conjugate() + c2 * c4.conjugate()
+    return (2.0 * x.real, -2.0 * x.imag,
+            abs(c1) ** 2 + abs(c2) ** 2 - abs(c3) ** 2 - abs(c4) ** 2)
+
+
+def _schmidt_k_oracle(s):
+    # 1/Tr(rho_r^2) with rho_r = M M^dagger, a route that does not pass
+    # through D or P_h; Tr(rho_r^2) is the squared Frobenius norm of rho_r
+    m = amplitude_matrix(s)
+    rho_r = m.dot(m.conj().T)
+    return 1.0 / np.vdot(rho_r, rho_r).real
+
+
 def quantify(s):
     """Compute the entanglement quantifiers of a ququart.
 
-    Closed forms: with D = |C1 C4 - C2 C3|^2,
+    Closed forms: with D = |C1 C4 - C2 C3|^2 and P_h the polarization degree
+    of the high-frequency photon,
 
-        K   = 2 / (1 - 2 D)        (in [2, 4])
-        C_I = sqrt(1 + 2 D)        (in [1, sqrt(1.5)])
+        K       = 2 / (1 - 2 D)        (in [2, 4])
+        C_I     = sqrt(1 + 2 D)        (in [1, sqrt(1.5)])
+        lambdas = (1 + P_h)/4 twice, then (1 - P_h)/4 twice
 
-    K is cross-checked at call time against 1/Tr(rho_r^2) with
-    rho_r = M M^dagger built from the 4x4 amplitude matrix M, a route that
-    does not pass through D, and C_I against sqrt(2 (1 - 1/K)).  The four
-    reduced eigenvalues and their entropy come from the closed-form reduced
-    matrix.
+    and the entropy of those four reduced eigenvalues in bits.  K is
+    cross-checked at call time against 1/Tr(rho_r^2) with rho_r = M M^dagger
+    built from the 4x4 amplitude matrix M, and against
+    K(P_h) = 4/(1 + P_h^2); neither route passes through D.
     """
     d = abs(_pair_determinant(s)) ** 2
     k = 2.0 / (1.0 - 2.0 * d)
-    ci = math.sqrt(1.0 + 2.0 * d)
-    m = amplitude_matrix(s)
-    rho_r = m @ m.conj().T
-    # Tr(rho_r^2) is the squared Frobenius norm of the Hermitian rho_r
-    k_oracle = 1.0 / np.vdot(rho_r, rho_r).real
+    k_oracle = _schmidt_k_oracle(s)
     if abs(k - k_oracle) > ORACLE_TOL:
         raise ConsistencyError(
             f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
         )
-    ci_from_k = math.sqrt(2.0 * (1.0 - 1.0 / k))
-    if abs(ci - ci_from_k) > ORACLE_TOL:
+    p = _degree_p(_polarization_h(s))
+    k_from_p = 4.0 / (1.0 + p * p)
+    if abs(k - k_from_p) > ORACLE_TOL:
         raise ConsistencyError(
-            f"I-concurrence {ci!r} disagrees with sqrt(2 (1 - 1/K)) = {ci_from_k!r}"
+            f"K(D)={k!r} disagrees with K(P_h) = 4/(1 + P_h^2) = {k_from_p!r}"
         )
-    lam, _ = hermitian_eig(reduced_density(s))
+    lam = _spectrum(p, 4)
     return QuquartReport(
         schmidt_k=k,
-        i_concurrence=ci,
+        i_concurrence=math.sqrt(1.0 + 2.0 * d),
         entropy=vn_entropy(lam),
-        lambdas=tuple(float(v) for v in lam),
+        lambdas=tuple(lam),
     )
 
 
@@ -256,8 +284,8 @@ def two_qubit_model(s):
     Treating the pair as two polarization qubits (ignoring the frequency
     label) gives concurrence 2 |C1 C4 - C2 C3| and Schmidt parameter
     K_2qb = 1/(1 - 2 |C1 C4 - C2 C3|^2), exactly half the full two-qudit K.
-    Both the halving relation and K_2qb = 1/Tr(rho_2qb^2) are verified at
-    call time.
+    K_2qb = 1/Tr(rho_2qb^2) is verified at call time, and so is the halving
+    relation, against the M M^dagger K of the full ququart.
     """
     det = _pair_determinant(s)
     d = abs(det) ** 2
@@ -278,7 +306,7 @@ def two_qubit_model(s):
         raise ConsistencyError(
             f"two-qubit K={k2qb!r} disagrees with 1/Tr(rho^2)={k_oracle!r}"
         )
-    k_full = 2.0 / (1.0 - 2.0 * d)
+    k_full = _schmidt_k_oracle(s)
     if abs(k_full - 2.0 * k2qb) > ORACLE_TOL:
         raise ConsistencyError(
             f"two-qudit K={k_full!r} is not twice the two-qubit K={k2qb!r}"

@@ -233,9 +233,7 @@ def quantify(q):
         )
     # lambda_+- = (1 +- P)/2: P = sqrt(1 - C^2) by C^2 + P^2 = 1, but P from
     # the amplitudes stays accurate where sqrt(1 - C^2) loses half the digits
-    p = _degree_p(_polarization_vector(q))
-    lam_p = (1.0 + p) / 2.0
-    lam_m = (1.0 - p) / 2.0
+    lam_p, lam_m = _spectrum(_degree_p(_polarization_vector(q)), 2)
     return EntanglementReport(
         schmidt_k=k,
         concurrence=c,
@@ -292,6 +290,14 @@ def _degree_p(xi):
     # P = |xi|, held at 1 where rounding would push a product state past it;
     # the one P behind both quantify's lambdas and polarization's degree_p
     return min(1.0, math.hypot(*xi))
+
+
+def _spectrum(p, d):
+    # reduced eigenvalues of one photon, descending: (1 + P)/d and
+    # (1 - P)/d, each d/2 times; d = 2 for a qutrit, 4 for a ququart, whose
+    # two decoupled polarization blocks share the high-frequency photon's P
+    hi, lo = (1.0 + p) / d, (1.0 - p) / d
+    return [hi] * (d // 2) + [lo] * (d // 2)
 
 
 def polarization(q):

@@ -172,8 +172,8 @@ def takagi(m, tol=HERMITIAN_TOL):
     np.negative(m.real, out=t[n:, n:])
     vals, vecs = np.linalg.eigh(t)
     # keep the n largest eigenvalues (the non-negative half), descending
-    xy = vecs[:, ::-1][:, :n]
-    return np.maximum(vals[::-1][:n], 0.0), xy[:n] + 1j * xy[n:]
+    xy = vecs[:, :n - 1:-1]
+    return np.maximum(vals[:n - 1:-1], 0.0), xy[:n] + 1j * xy[n:]
 
 
 class SchmidtDecomposition:
@@ -187,7 +187,8 @@ class SchmidtDecomposition:
     modes_first, modes_second : (d, r) arrays
         Orthonormal single-photon Schmidt modes, one column per term.  For
         exchange-symmetric states both photons carry the same mode in each
-        term, so the two arrays coincide.
+        term, so the two arrays coincide; schmidt_from_symmetric passes one
+        array for both.
     """
 
     def __init__(self, lambdas, modes_first, modes_second):
@@ -214,8 +215,11 @@ def schmidt_from_symmetric(m, cutoff=SCHMIDT_WEIGHT_CUTOFF):
     """Schmidt-decompose a symmetric amplitude matrix, dropping tiny weights."""
     s, modes = takagi(m)
     lam = s * s
-    keep = lam >= cutoff
-    return SchmidtDecomposition(lam[keep], modes[:, keep], modes[:, keep])
+    # the weights descend, so all are kept when the last is
+    if not lam[-1] >= cutoff:
+        keep = lam >= cutoff
+        lam, modes = lam[keep], modes[:, keep]
+    return SchmidtDecomposition(lam, modes, modes)
 
 
 def equal_up_to_global_phase(a, b, tol=1e-9):

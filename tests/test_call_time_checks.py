@@ -1,10 +1,7 @@
 """Each call-time check of a closed form against an independent route still
 runs and fires: it passes a generic state, and raises ConsistencyError on the
-same state once a closed-form input is off by 1e-6.
+same state once one of its inputs is off by 1e-6.
 Also pins the accuracy of the M M^dagger route behind the K checks."""
-
-import math
-import types
 
 import numpy as np
 import pytest
@@ -54,26 +51,28 @@ def test_ququart_k_check_fires(monkeypatch):
         ququart.quantify(QUQUART)
 
 
-def test_ququart_i_concurrence_check_fires(monkeypatch):
-    # C_I = sqrt(1 + 2 D) is the first square root quantify takes; D itself
-    # feeds both sides of this check, so the shift goes on the root
+def test_ququart_polarization_k_check_fires(monkeypatch):
+    # K(D) = 2/(1 - 2 D) against K(P_h) = 4/(1 + P_h^2); P_h comes from the
+    # high-frequency photon's Stokes vector, so the shift goes on its degree
     ququart.quantify(QUQUART)
-    calls = []
-
-    def sqrt(x):
-        calls.append(x)
-        return math.sqrt(x) + (OFF if len(calls) == 1 else 0.0)
-
-    monkeypatch.setattr(ququart, "math", types.SimpleNamespace(sqrt=sqrt))
-    with pytest.raises(ConsistencyError, match="I-concurrence"):
+    shifted(monkeypatch, ququart, "_degree_p")
+    with pytest.raises(ConsistencyError, match=r"K\(P_h\)"):
         ququart.quantify(QUQUART)
-    assert len(calls) == 2
 
 
 def test_two_qubit_purity_check_fires(monkeypatch):
     ququart.two_qubit_model(QUQUART)
     shifted(monkeypatch, ququart, "_pair_determinant")
     with pytest.raises(ConsistencyError, match="two-qubit K"):
+        ququart.two_qubit_model(QUQUART)
+
+
+def test_two_qubit_halving_check_fires(monkeypatch):
+    # the amplitude matrix feeds the full ququart's M M^dagger K alone, so a
+    # shifted matrix leaves K_2qb and its own purity check untouched
+    ququart.two_qubit_model(QUQUART)
+    shifted(monkeypatch, ququart, "amplitude_matrix")
+    with pytest.raises(ConsistencyError, match="not twice the two-qubit K"):
         ququart.two_qubit_model(QUQUART)
 
 

@@ -158,7 +158,7 @@ _QUANTIFY_STDOUT = [
      '665446106367,"re":-0.50443327230531831},{"im":-0.60531992676638191,"re":0.201773'
      '30892212733},{"im":0.25221663615265916,"re":0.10088665446106367}],"entanglement"'
      ':{"entropy":1.2719633164211968,"i_concurrence":1.0435207263005759,"lambdas":[0.4'
-     '7667832212772321,0.4766783221277231,0.02332167787227693,0.023321677872276791],"s'
+     '7667832212772321,0.47667832212772321,0.023321677872276819,0.023321677872276819],"s'
      'chmidt_k":2.1952342711760817},"kind":"ququart","schema":"report/1","schmidt":{"l'
      'ambdas":[0.47667832212772349,0.47667832212772254,0.023321677872276896,0.02332167'
      '7872276826],"modes":[[{"im":2.4990220226455438e-17,"re":-0.51041522971593012},{"'
@@ -176,7 +176,7 @@ _QUANTIFY_STDOUT = [
 ]
 _QUANTIFY_STDOUT_SHA256 = [
     (['--amplitudes', '[[-0.6,0.15],[0.2,0.3],[0.45,-0.1],[0.05,0.5]]', '--dump-density'],
-     'a4bcdbfe573473b56db1ad634b8c4ac566c990bc235eb44e71b4fa497442f323'),
+     '9987cf4a6811a23b2bca3acb620d7bbac5eeaded65e1c4fa0654ad4a94c0eed7'),
 ]
 
 

@@ -138,6 +138,47 @@ def test_quantify_concurrence_schmidt_relation():
         assert abs(rep.i_concurrence - math.sqrt(2 * (1 - 1 / rep.schmidt_k))) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def haar():
+    v = np.random.default_rng(7).normal(size=(20000, 4, 2)) @ [1, 1j]
+    return [ququart.make_ququart(*row) for row in v.tolist()]
+
+
+def test_quantify_spectrum_is_closed_form_pairs(haar):
+    # lambdas = (1 + P_h)/4 twice, then (1 - P_h)/4 twice: exact pairs,
+    # descending, and within 1e-15 of the dense eigensolver
+    worst = 0.0
+    for s in haar:
+        lam = ququart.quantify(s).lambdas
+        assert lam[0] == lam[1] >= lam[2] == lam[3]
+        dense, _ = tensor.hermitian_eig(ququart.reduced_density(s))
+        worst = max(worst, np.max(np.abs(np.subtract(lam, dense))))
+    assert worst <= 1e-15
+
+
+# the amplitude matrix as built before it became one np.array call: a fancy
+# -index store of C/sqrt(2) in numpy, then m + m.T
+_PAIR_INDEX = tuple(np.array([ququart._BASIS_PAIRS[b] for b in ququart.BASIS_LABELS]).T)
+
+
+def amplitude_matrix_oracle(s):
+    m = np.zeros((4, 4), dtype=complex)
+    m[_PAIR_INDEX] = s.amplitudes / SQRT2
+    return m + m.T
+
+
+def test_amplitude_matrix_bits_match_numpy_construction(haar):
+    signed_zeros = [
+        ququart.QuquartState(complex(-0.0, 0.6), complex(0.8, -0.0), -0.0, complex(-0.0, -0.0)),
+        ququart.QuquartState(-0.6, 0.0, complex(-0.0, -0.8), 0),
+    ]
+    rotated = [ququart.rotate_basis_45(s) for s in haar[:100] + signed_zeros]
+    for s in haar + signed_zeros + rotated:
+        m = ququart.amplitude_matrix(s)
+        assert m.dtype == complex and m.shape == (4, 4)
+        assert m.tobytes() == amplitude_matrix_oracle(s).tobytes()
+
+
 def test_schmidt_decompose_never_single_term():
     for _ in range(20):
         dec = ququart.schmidt_decompose(random_ququart())
