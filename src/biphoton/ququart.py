@@ -186,13 +186,12 @@ def _pair_determinant(s):
     return s.c1 * s.c4 - s.c2 * s.c3
 
 
-def _polarization_h(s):
-    # Stokes vector of the high-frequency photon, whose state is twice the
-    # (Hh, Vh) block of reduced_density; components ordered as the qutrit's xi
+def _high_photon_state(s):
+    # the high-frequency photon's polarization state, twice the (Hh, Vh)
+    # block of reduced_density: its H and V populations and H-V coherence
     c1, c2, c3, c4 = map(complex, (s.c1, s.c2, s.c3, s.c4))
-    x = c1 * c3.conjugate() + c2 * c4.conjugate()
-    return (2.0 * x.real, -2.0 * x.imag,
-            abs(c1) ** 2 + abs(c2) ** 2 - abs(c3) ** 2 - abs(c4) ** 2)
+    return (abs(c1) ** 2 + abs(c2) ** 2, abs(c3) ** 2 + abs(c4) ** 2,
+            c1 * c3.conjugate() + c2 * c4.conjugate())
 
 
 def _schmidt_k_oracle(s):
@@ -225,7 +224,9 @@ def quantify(s):
         raise ConsistencyError(
             f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
         )
-    p = _degree_p(_polarization_h(s))
+    # P_h from the high-frequency photon's Stokes vector, ordered as xi
+    h, v, x = _high_photon_state(s)
+    p = _degree_p((2.0 * x.real, -2.0 * x.imag, h - v))
     k_from_p = 4.0 / (1.0 + p * p)
     if abs(k - k_from_p) > ORACLE_TOL:
         raise ConsistencyError(
@@ -291,15 +292,9 @@ def two_qubit_model(s):
     d = abs(det) ** 2
     c2qb = 2.0 * abs(det)
     k2qb = 1.0 / (1.0 - 2.0 * d)
-    c1, c2, c3, c4 = s.amplitudes.tolist()
-    cross = c1 * c3.conjugate() + c2 * c4.conjugate()
-    rho = np.array(
-        [
-            [abs(c1) ** 2 + abs(c2) ** 2, cross],
-            [cross.conjugate(), abs(c3) ** 2 + abs(c4) ** 2],
-        ],
-        dtype=complex,
-    )
+    # the frequency-blind reduced state is the high-frequency photon's
+    h, v, cross = _high_photon_state(s)
+    rho = np.array([[h, cross], [cross.conjugate(), v]], dtype=complex)
     # Tr(rho^2) is the squared Frobenius norm of the Hermitian rho
     k_oracle = 1.0 / np.vdot(rho, rho).real
     if abs(k2qb - k_oracle) > ORACLE_TOL:
