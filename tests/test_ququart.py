@@ -156,8 +156,8 @@ def test_quantify_spectrum_is_closed_form_pairs(haar):
     assert worst <= 1e-15
 
 
-# the amplitude matrix as built before it became one np.array call: a fancy
-# -index store of C/sqrt(2) in numpy, then m + m.T
+# the amplitude matrix as built before it became one np.array call: C/sqrt(2)
+# stored by fancy indexing in numpy, then m + m.T
 _PAIR_INDEX = tuple(np.array([ququart._BASIS_PAIRS[b] for b in ququart.BASIS_LABELS]).T)
 
 
