@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton import cli, measurement, qutrit
+from biphoton import cli, jsonio, measurement, ququart, qutrit
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,42 @@ def test_quantify_family_input(capsys):
     doc = run_json(capsys, "quantify", "--kind", "ququart",
                    "--family", "psi_phi", "--param", str(math.pi / 4))
     assert doc["entanglement"]["schmidt_k"] == pytest.approx(4.0, abs=1e-10)
+
+
+# each --family with its --param flags, and the same state built directly
+_FAMILY_STATES = [
+    ("non_entangled", [], lambda: qutrit.non_entangled_family(0.0, 0.0, 0.0)),
+    ("non_entangled", ["--param", "0.7,1.3", "--param", "-2.1"],
+     lambda: qutrit.non_entangled_family(0.7, 1.3, -2.1)),
+    ("max_entangled", [], lambda: qutrit.max_entangled_family(0.0, 0.0, 0.0)),
+    ("max_entangled", ["--param", "0.4"], lambda: qutrit.max_entangled_family(0.4, 0.0, 0.0)),
+    ("psi_phi", [], lambda: ququart.family_psi_phi(0.0)[0]),
+    ("psi_phi", ["--param", "0.3"], lambda: ququart.family_psi_phi(0.3)[0]),
+    ("psi_phi_prime", [], lambda: ququart.family_psi_phi_prime(0.0)),
+    ("psi_phi_prime", ["--param", "2.2"], lambda: ququart.family_psi_phi_prime(2.2)),
+]
+
+
+@pytest.mark.parametrize("family, params, build", _FAMILY_STATES)
+def test_quantify_family_prints_the_reports_of_its_state(capsys, family, params, build):
+    code, out, err = run_cli(capsys, "quantify", "--family", family, *params)
+    assert code == 0, err
+    state = build()
+    amps = [jsonio.complex_to_json(c) for c in state.amplitudes]
+    assert '"amplitudes":' + jsonio.dumps(amps) + "," in out
+    if isinstance(state, qutrit.QutritState):
+        rep, pol = qutrit.quantify(state), qutrit.polarization(state)
+        ent = {"schmidt_k": rep.schmidt_k, "concurrence": rep.concurrence,
+               "entropy": rep.entropy, "lambda_plus": rep.lambda_plus,
+               "lambda_minus": rep.lambda_minus}
+        polarization = {"xi": list(pol.xi), "degree_p": pol.degree_p}
+        assert '"polarization":' + jsonio.dumps(polarization) + "," in out
+    else:
+        rep = ququart.quantify(state)
+        ent = {"schmidt_k": rep.schmidt_k, "i_concurrence": rep.i_concurrence,
+               "entropy": rep.entropy, "lambdas": list(rep.lambdas)}
+        assert '"polarization"' not in out
+    assert '"entanglement":' + jsonio.dumps(ent) + "," in out
 
 
 def test_quantify_complex_amplitudes(capsys):
@@ -248,6 +284,36 @@ def test_sweep_fig5_asymmetry(capsys):
     assert rows[1][1] == pytest.approx(2.0, abs=1e-10)
     assert rows[3][0] == pytest.approx(3 * math.pi / 4)
     assert rows[3][1] == pytest.approx(4.0, abs=1e-10)
+
+
+def _sweep_reference(family, grid):
+    # the figure's rows computed straight from the family states
+    if family == "fig1":
+        rows = []
+        for c_plus in np.linspace(-1.0, 1.0, grid):
+            c2 = math.sqrt(max(0.0, 1.0 - c_plus * c_plus))
+            rep = qutrit.quantify(qutrit.from_bell(
+                qutrit.BellCoefficients(c_plus=float(c_plus), c_minus=0.0, c2=c2)))
+            rows.append((c_plus, rep.schmidt_k, rep.concurrence, rep.entropy))
+        return "c_plus,K,C,S_r", rows
+    rows = []
+    for phi in np.linspace(0.0, math.pi, grid):
+        if family == "fig4":
+            state = ququart.family_psi_phi(float(phi))[0]
+        else:
+            state = ququart.family_psi_phi_prime(float(phi))
+        rep = ququart.quantify(state)
+        rows.append((phi, rep.schmidt_k, rep.i_concurrence, rep.entropy))
+    return "phi,K,C_I,S_r", rows
+
+
+@pytest.mark.parametrize("family", ["fig1", "fig4", "fig5"])
+def test_sweep_rows_are_the_family_quantifiers(capsys, family):
+    code, out, err = run_cli(capsys, "sweep", "--family", family, "--grid", "101")
+    assert code == 0, err
+    header, rows = _sweep_reference(family, 101)
+    want = [header] + [",".join(jsonio.csv_cell(x) for x in row) for row in rows]
+    assert out.splitlines() == want
 
 
 def test_sweep_writes_file(tmp_path, capsys):
