@@ -17,6 +17,7 @@ can be built by piping:
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -68,8 +69,13 @@ _KINDS = {
                      ququart.density_matrix, reconstruct.ququart_phases),
 }
 
-_QUTRIT_FAMILIES = ("non_entangled", "max_entangled")
-_QUQUART_FAMILIES = ("psi_phi", "psi_phi_prime")
+# named state families: kind, parameter count and state builder
+_FAMILIES = {
+    "non_entangled": ("qutrit", 3, qutrit.non_entangled_family),
+    "max_entangled": ("qutrit", 3, qutrit.max_entangled_family),
+    "psi_phi": ("ququart", 1, lambda phi: ququart.family_psi_phi(phi)[0]),
+    "psi_phi_prime": ("ququart", 1, ququart.family_psi_phi_prime),
+}
 
 
 def _add_state_args(p):
@@ -77,8 +83,7 @@ def _add_state_args(p):
                    help="state kind; inferred from the amplitude count or family when omitted")
     p.add_argument("--amplitudes",
                    help="JSON list of amplitudes: numbers, [re, im] pairs or {re, im} objects")
-    p.add_argument("--family",
-                   choices=_QUTRIT_FAMILIES + _QUQUART_FAMILIES,
+    p.add_argument("--family", choices=_FAMILIES,
                    help="named state family instead of explicit amplitudes")
     p.add_argument("--param", action="append",
                    help="family parameters, comma separated or repeated; missing ones default to 0")
@@ -110,19 +115,10 @@ def _build_state(args):
     if args.amplitudes and args.family:
         raise InputError("give either --amplitudes or --family, not both")
     if args.family:
+        kind, count, build = _FAMILIES[args.family]
+        params = _family_params(args, count)
         try:
-            if args.family in _QUTRIT_FAMILIES:
-                kind = "qutrit"
-                phi, phi1, phi3 = _family_params(args, 3)
-                maker = getattr(qutrit, args.family + "_family")
-                state = maker(phi, phi1, phi3)
-            else:
-                kind = "ququart"
-                (phi,) = _family_params(args, 1)
-                if args.family == "psi_phi":
-                    state, _, _ = ququart.family_psi_phi(phi)
-                else:
-                    state = ququart.family_psi_phi_prime(phi)
+            state = build(*params)
         except ValueError as e:
             # finite angles so large that a sum or a doubling overflows
             raise InputError(f"family {args.family!r} cannot take these parameters: {e}")
@@ -178,30 +174,16 @@ def _schmidt_payload(dec):
 def cmd_quantify(args):
     kind, state = _build_state(args)
     ops = _KINDS[kind]
-    rep = ops.quantify(state)
+    # the report fields are named as the printed keys
     payload = {
         "schema": "report/1",
         "kind": kind,
         "amplitudes": _amplitude_list(state),
+        "entanglement": dataclasses.asdict(ops.quantify(state)),
         "schmidt": _schmidt_payload(ops.schmidt(state)),
     }
     if kind == "qutrit":
-        pol = qutrit.polarization(state)
-        payload["entanglement"] = {
-            "schmidt_k": rep.schmidt_k,
-            "concurrence": rep.concurrence,
-            "entropy": rep.entropy,
-            "lambda_plus": rep.lambda_plus,
-            "lambda_minus": rep.lambda_minus,
-        }
-        payload["polarization"] = {"xi": list(pol.xi), "degree_p": pol.degree_p}
-    else:
-        payload["entanglement"] = {
-            "schmidt_k": rep.schmidt_k,
-            "i_concurrence": rep.i_concurrence,
-            "entropy": rep.entropy,
-            "lambdas": list(rep.lambdas),
-        }
+        payload["polarization"] = dataclasses.asdict(qutrit.polarization(state))
     if args.dump_density:
         payload["density_matrix"] = ops.density(state).tolist()
     _emit_json(payload)
@@ -338,17 +320,13 @@ def _sweep_rows(family, grid_n):
             )
             rep = qutrit.quantify(state)
             rows.append((float(c_plus), rep.schmidt_k, rep.concurrence, rep.entropy))
-    elif family in ("fig4", "fig5"):
-        header = ("phi", "K", "C_I", "S_r")
-        for phi in np.linspace(0.0, math.pi, grid_n):
-            if family == "fig4":
-                state, _, _ = ququart.family_psi_phi(float(phi))
-            else:
-                state = ququart.family_psi_phi_prime(float(phi))
-            rep = ququart.quantify(state)
-            rows.append((float(phi), rep.schmidt_k, rep.i_concurrence, rep.entropy))
     else:
-        raise InputError(f"unknown sweep family {family!r}")
+        # fig4 sweeps psi_phi, fig5 psi_phi_prime
+        header = ("phi", "K", "C_I", "S_r")
+        build = _FAMILIES["psi_phi" if family == "fig4" else "psi_phi_prime"][2]
+        for phi in np.linspace(0.0, math.pi, grid_n):
+            rep = ququart.quantify(build(float(phi)))
+            rows.append((float(phi), rep.schmidt_k, rep.i_concurrence, rep.entropy))
     return header, rows
 
 

@@ -32,10 +32,12 @@ from .tensor import (
     vn_entropy,
 )
 from .qutrit import (
+    _check_norm,
     _degree_p,
+    _k_oracle,
+    _normalized,
     _spectrum,
     concurrence as qutrit_concurrence,
-    unit_scale,
     wavefunction as qutrit_wavefunction,
 )
 
@@ -65,11 +67,7 @@ class QuquartState:
     c4: complex
 
     def __post_init__(self):
-        n = sum(abs(c) ** 2 for c in self.amplitudes)
-        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError(
-                f"ququart amplitudes have squared norm {n!r}; use make_ququart"
-            )
+        _check_norm((self.c1, self.c2, self.c3, self.c4), "ququart")
 
     @property
     def amplitudes(self):
@@ -105,9 +103,7 @@ def make_ququart(c1, c2, c3, c4):
 
     Phases pass through untouched.  Raises ZeroState for the zero vector.
     """
-    amps = unit_scale((c1, c2, c3, c4))
-    norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
-    return QuquartState(*(c / norm for c in amps))
+    return QuquartState(*_normalized((c1, c2, c3, c4)))
 
 
 def basis_wavefunction(label):
@@ -194,14 +190,6 @@ def _high_photon_state(s):
             c1 * c3.conjugate() + c2 * c4.conjugate())
 
 
-def _schmidt_k_oracle(s):
-    # 1/Tr(rho_r^2) with rho_r = M M^dagger, a route that does not pass
-    # through D or P_h; Tr(rho_r^2) is the squared Frobenius norm of rho_r
-    m = amplitude_matrix(s)
-    rho_r = m.dot(m.conj().T)
-    return 1.0 / np.vdot(rho_r, rho_r).real
-
-
 def quantify(s):
     """Compute the entanglement quantifiers of a ququart.
 
@@ -219,7 +207,7 @@ def quantify(s):
     """
     d = abs(_pair_determinant(s)) ** 2
     k = 2.0 / (1.0 - 2.0 * d)
-    k_oracle = _schmidt_k_oracle(s)
+    k_oracle = _k_oracle(amplitude_matrix(s))
     if abs(k - k_oracle) > ORACLE_TOL:
         raise ConsistencyError(
             f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
@@ -301,7 +289,7 @@ def two_qubit_model(s):
         raise ConsistencyError(
             f"two-qubit K={k2qb!r} disagrees with 1/Tr(rho^2)={k_oracle!r}"
         )
-    k_full = _schmidt_k_oracle(s)
+    k_full = _k_oracle(amplitude_matrix(s))
     if abs(k_full - 2.0 * k2qb) > ORACLE_TOL:
         raise ConsistencyError(
             f"two-qudit K={k_full!r} is not twice the two-qubit K={k2qb!r}"

@@ -52,11 +52,7 @@ class QutritState:
     c3: complex
 
     def __post_init__(self):
-        n = abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.c3) ** 2
-        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError(
-                f"qutrit amplitudes have squared norm {n!r}; use make_qutrit"
-            )
+        _check_norm((self.c1, self.c2, self.c3), "qutrit")
 
     @property
     def amplitudes(self):
@@ -103,24 +99,37 @@ def make_qutrit(c1, c2, c3):
     Only the magnitude is rescaled; relative and global phases pass through
     untouched.  Raises ZeroState for the all-zero input.
     """
-    c1, c2, c3 = unit_scale((c1, c2, c3))
-    norm = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2 + abs(c3) ** 2)
-    return QutritState(c1 / norm, c2 / norm, c3 / norm)
+    return QutritState(*_normalized((c1, c2, c3)))
 
 
-def unit_scale(amplitudes):
-    """Amplitudes divided by a power of two that puts their largest part in [1, 2).
+def _squared_norm(amps):
+    # summed left to right in Python floats, so the bits depend neither on
+    # the amplitudes' number type nor on how sum() adds floats
+    n = 0.0
+    for c in amps:
+        n += float(abs(c)) ** 2
+    return n
 
-    Squaring them then neither overflows nor underflows, and because the
-    scale is a power of two, normalizing the result gives the same bits as
-    normalizing the input directly.  Raises ZeroState for the zero vector.
-    """
+
+def _check_norm(amps, kind):
+    n = _squared_norm(amps)
+    if not abs(n - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"{kind} amplitudes have squared norm {n!r}; use make_{kind}")
+
+
+def _normalized(amplitudes):
+    # the amplitudes of a qutrit or a ququart scaled to unit length; dividing
+    # first by a power of two that puts their largest part in [1, 2) keeps
+    # the squares from overflowing or underflowing, and gives the same bits
+    # as normalizing the input directly
     amps = [complex(c) for c in amplitudes]
     peak = max(max(abs(c.real), abs(c.imag)) for c in amps)
     if peak == 0.0:
         raise ZeroState("cannot normalize the zero vector")
     scale = math.ldexp(0.5, math.frexp(peak)[1])
-    return [c / scale for c in amps]
+    amps = [c / scale for c in amps]
+    norm = math.sqrt(_squared_norm(amps))
+    return [c / norm for c in amps]
 
 
 def wavefunction(q):
@@ -223,10 +232,7 @@ def quantify(q):
     """
     c = concurrence(q)
     k = 2.0 / (2.0 - c * c)
-    m = amplitude_matrix(q)
-    rho_r = m @ m.conj().T
-    # Tr(rho_r^2) is the squared Frobenius norm of the Hermitian rho_r
-    k_oracle = 1.0 / np.vdot(rho_r, rho_r).real
+    k_oracle = _k_oracle(amplitude_matrix(q))
     if abs(k - k_oracle) > ORACLE_TOL:
         raise ConsistencyError(
             f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
@@ -290,6 +296,14 @@ def _degree_p(xi):
     # P = |xi|, held at 1 where rounding would push a product state past it;
     # the one P behind both quantify's lambdas and polarization's degree_p
     return min(1.0, math.hypot(*xi))
+
+
+def _k_oracle(m):
+    # K = 1/Tr(rho_r^2) with rho_r = M M^dagger from the amplitude matrix M
+    # of either kind, a route through neither C, D nor P; Tr(rho_r^2) is the
+    # squared Frobenius norm of the Hermitian rho_r
+    rho_r = m.dot(m.conj().T)
+    return 1.0 / np.vdot(rho_r, rho_r).real
 
 
 def _spectrum(p, d):

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jsonio import complex_to_json
-from .measurement import BASES, KINDS
+from .measurement import BASES, KINDS, NOISE_MODES
 from .qutrit import QutritState
 from .ququart import QuquartState
 
@@ -63,9 +63,6 @@ SAMPLED_ZERO_CAP = 0.3
 
 # two solutions closer than this in overlap deficit are the same state
 OVERLAP_DEDUPE = 1e-8
-
-# renormalizing the squared magnitudes by more than this is worth a warning
-RENORM_WARN = 0.05
 
 
 class IncompleteRecord(ValueError):
@@ -108,16 +105,14 @@ class MagnitudeEstimate:
     """Amplitude magnitudes recovered from records in one or both bases.
 
     magnitudes / magnitudes45 are the natural- and rotated-frame magnitude
-    vectors (None until the matching record has been folded in), each
-    renormalized to unit squared sum.  renorm maps basis name to the squared
-    sum before renormalization, noise_scale is the statistical scale
+    vectors (None until the matching record has been folded in), each of
+    unit squared sum.  noise_scale is the statistical scale
     1/sqrt(total coincidences) for sampled input (0 for ideal).
     """
 
     kind: str
     magnitudes: np.ndarray = None
     magnitudes45: np.ndarray = None
-    renorm: dict = field(default_factory=dict)
     noise_scale: float = 0.0
     warnings: list = field(default_factory=list)
 
@@ -163,14 +158,16 @@ def magnitudes_from_record(rec):
     """Extract amplitude magnitudes from one coincidence record.
 
     The settings probing one amplitude (the two orderings of a symmetric
-    pair) are summed, the squared magnitudes renormalized to unit sum and
-    the renormalization factor reported.  Raises IncompleteRecord when a
-    required setting is missing and MalformedRecord for a setting foreign
-    to the record's kind or for negative or empty counts.
+    pair) are summed and the squared magnitudes normalized to unit sum.
+    Raises IncompleteRecord when a required setting is missing and
+    MalformedRecord for an unknown basis or mode, a setting foreign to the
+    record's kind, or negative or empty counts.
     """
     kind = rec.kind
     if rec.basis not in BASES:
         raise MalformedRecord(f"record basis {rec.basis!r} is not recognized")
+    if rec.mode not in NOISE_MODES:
+        raise MalformedRecord(f"record mode {rec.mode!r} is not recognized")
     settings, probes, _ = KINDS[kind]
     # foreign first: a misspelt setting is also a missing one
     unknown = [s for s in rec.counts if s not in settings]
@@ -188,16 +185,10 @@ def magnitudes_from_record(rec):
     if not math.isfinite(total):
         raise MalformedRecord("coincidence counts overflow their sum")
     sq = np.bincount(probes, weights=np.array(counts) / total)
-    factor = float(sq.sum())
-    mags = np.sqrt(sq / factor)
-    warnings = []
-    if abs(factor - 1.0) > RENORM_WARN:
-        warnings.append(
-            f"squared magnitudes renormalized by {factor:.6g} in the {rec.basis} basis"
-        )
+    # the sum is 1 up to rounding; dividing by it sets the last bits
+    mags = np.sqrt(sq / float(sq.sum()))
     noise = 1.0 / math.sqrt(total) if rec.mode == "sampled" else 0.0
-    est = MagnitudeEstimate(kind=kind, renorm={rec.basis: factor},
-                            noise_scale=noise, warnings=warnings)
+    est = MagnitudeEstimate(kind=kind, noise_scale=noise)
     if rec.basis == "natural":
         est.magnitudes = mags
     else:
@@ -218,7 +209,6 @@ def merge_estimates(a, b):
         kind=a.kind,
         magnitudes=nat.magnitudes,
         magnitudes45=rot.magnitudes45,
-        renorm={**nat.renorm, **rot.renorm},
         noise_scale=max(a.noise_scale, b.noise_scale),
         warnings=list(nat.warnings) + list(rot.warnings),
     )
@@ -398,6 +388,12 @@ def _polish(fun, x):
     return x
 
 
+def _canonical(entry):
+    # sort key of a (state, residual, display_phases) entry: the
+    # lexicographically smallest display phases modulo 2 pi come first
+    return tuple(round(p % TWO_PI, 9) for p in entry[2])
+
+
 def _rank_solutions(phases, rms, noise_scale, build):
     """Filter, dedupe and order refined solutions.
 
@@ -428,7 +424,7 @@ def _rank_solutions(phases, rms, noise_scale, build):
             continue
         seen[len(out)] = np.conj(amps)
         out.append((st, float(rms[i]), ph))
-    out.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
+    out.sort(key=_canonical)
     return out
 
 
@@ -522,7 +518,7 @@ def qutrit_phases(est):
             pairs.append((-psi / 2.0, psi / 2.0))
         entries = [(build(ph), float(_rms(qutrit_phase_equations(m, n, *ph))), ph)
                    for ph in pairs]
-        entries.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
+        entries.sort(key=_canonical)
         warnings.append(
             "interference amplitude below threshold: only the relative phase "
             "phi1 - phi3 is observable, up to sign"
@@ -704,11 +700,14 @@ def ququart_phases(est):
 # real-amplitude shortcuts
 # ---------------------------------------------------------------------------
 
-def _hv_pair(singles):
-    # accept a CoincidenceRecord.single_particle() mapping or a bare pair
-    if hasattr(singles, "keys"):
-        return float(singles["H"]), float(singles["V"])
-    return float(singles[0]), float(singles[1])
+def _imbalance(singles, mags):
+    # w_H - w_V from a CoincidenceRecord.single_particle() mapping, a bare
+    # (w_H, w_V) pair or, for None, the magnitudes
+    if singles is None:
+        singles = (mags[0] ** 2 + mags[1] ** 2 / 2.0, mags[2] ** 2 + mags[1] ** 2 / 2.0)
+    elif hasattr(singles, "keys"):
+        singles = (singles["H"], singles["V"])
+    return float(singles[0]) - float(singles[1])
 
 
 def qutrit_real_shortcut(est, singles=None, singles45=None):
@@ -725,16 +724,8 @@ def qutrit_real_shortcut(est, singles=None, singles45=None):
     Returns (K, C).
     """
     _require_both(est)
-    if singles is None:
-        m = est.magnitudes
-        singles = (m[0] ** 2 + m[1] ** 2 / 2.0, m[2] ** 2 + m[1] ** 2 / 2.0)
-    if singles45 is None:
-        n = est.magnitudes45
-        singles45 = (n[0] ** 2 + n[1] ** 2 / 2.0, n[2] ** 2 + n[1] ** 2 / 2.0)
-    singles = _hv_pair(singles)
-    singles45 = _hv_pair(singles45)
-    dw = float(singles[0]) - float(singles[1])
-    dw45 = float(singles45[0]) - float(singles45[1])
+    dw = _imbalance(singles, est.magnitudes)
+    dw45 = _imbalance(singles45, est.magnitudes45)
     kinv = 0.5 * (1.0 + dw * dw + dw45 * dw45)
     c_sq = 1.0 - dw * dw - dw45 * dw45
     return 1.0 / kinv, math.sqrt(max(0.0, c_sq))
@@ -752,11 +743,7 @@ def ququart_real_shortcut(est):
     noise can push it out, in which case Inconsistent is raised carrying the
     quantifiers of the clipped value.  Returns (K, C_I).
     """
-    _require_both(est)
-    if est.kind != "ququart":
-        raise ValueError(f"estimate is for a {est.kind}, not a ququart")
-    m = np.asarray(est.magnitudes, dtype=float)
-    n = np.asarray(est.magnitudes45, dtype=float)
+    m, n, _, _ = _prepare(est, "ququart")
     cross = n[0] ** 2 + n[3] ** 2 - 0.5
     d = 2.0 * (m[0] ** 2 * m[3] ** 2 + m[1] ** 2 * m[2] ** 2) - cross * cross
     d_clip = min(0.25, max(0.0, d))

@@ -75,25 +75,26 @@ def partial_trace(rho, d, which="second"):
     raise ValueError("which must be 'first' or 'second'")
 
 
-def _beyond_tolerance(m, mirror, tol):
-    # max |m - mirror| against tol * max(1, max |m_ij|); the scale is at
-    # least 1, so it is needed only once the difference exceeds tol itself
+def _beyond_tolerance(m, mirror):
+    # max |m - mirror| against HERMITIAN_TOL * max(1, max |m_ij|); the scale
+    # is at least 1, so it is needed only once the difference exceeds the
+    # tolerance itself
     off = np.abs(m - mirror).max()
-    return off > tol and off > tol * max(1.0, np.abs(m).max())
+    return off > HERMITIAN_TOL and off > HERMITIAN_TOL * max(1.0, np.abs(m).max())
 
 
-def hermitian_eig(m, tol=HERMITIAN_TOL):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(values, vectors)`` with real eigenvalues sorted in descending
     order and the matching orthonormal eigenvectors as the columns of
     ``vectors``.  Raises NotHermitian if ``m`` deviates from its conjugate
-    transpose by more than ``tol`` relative to the largest entry.
+    transpose by more than HERMITIAN_TOL relative to the largest entry.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    if _beyond_tolerance(m, m.conj().T, tol):
+    if _beyond_tolerance(m, m.conj().T):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
     # eigh sorts ascending; flip to descending (views of eigh's fresh arrays)
@@ -106,7 +107,7 @@ def purity(rho):
     return float(np.einsum("ij,ji->", rho, rho).real)
 
 
-def schmidt_number(psi, d, which="second"):
+def schmidt_number(psi, d):
     """Brute-force Schmidt parameter K = 1/Tr(rho_r^2) of a pure state.
 
     Builds the full density matrix of the two-photon vector ``psi``, traces
@@ -115,7 +116,7 @@ def schmidt_number(psi, d, which="second"):
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     rho = np.outer(psi, psi.conj())
-    rho_r = partial_trace(rho, d, which)
+    rho_r = partial_trace(rho, d)
     return 1.0 / purity(rho_r)
 
 
@@ -141,7 +142,7 @@ def vn_entropy(eigvals, clip=1e-12):
     return float(-acc) + 0.0
 
 
-def takagi(m, tol=HERMITIAN_TOL):
+def takagi(m):
     """Takagi factorization of a complex symmetric matrix.
 
     Returns ``(s, modes)`` with non-negative values ``s`` in descending order
@@ -162,7 +163,7 @@ def takagi(m, tol=HERMITIAN_TOL):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    if _beyond_tolerance(m, m.T, tol):
+    if _beyond_tolerance(m, m.T):
         raise ValueError("matrix is not complex symmetric within tolerance")
     n = m.shape[0]
     t = np.empty((2 * n, 2 * n))
@@ -211,13 +212,13 @@ class SchmidtDecomposition:
         return out
 
 
-def schmidt_from_symmetric(m, cutoff=SCHMIDT_WEIGHT_CUTOFF):
+def schmidt_from_symmetric(m):
     """Schmidt-decompose a symmetric amplitude matrix, dropping tiny weights."""
     s, modes = takagi(m)
     lam = s * s
     # the weights descend, so all are kept when the last is
-    if not lam[-1] >= cutoff:
-        keep = lam >= cutoff
+    if not lam[-1] >= SCHMIDT_WEIGHT_CUTOFF:
+        keep = lam >= SCHMIDT_WEIGHT_CUTOFF
         lam, modes = lam[keep], modes[:, keep]
     return SchmidtDecomposition(lam, modes, modes)
 

@@ -516,7 +516,7 @@ def test_simulate_rejects_pairs_beyond_the_sampler(capsys):
 @pytest.mark.parametrize("field, value", [
     ("H|H", "NaN"), ("H|H", '"abc"'), ("H|H", "Infinity"), ("eta", "NaN"),
     ("total_pairs", "Infinity"), ("total_pairs", "1.5"), ("total_pairs", '"many"'),
-    ("basis", "5"), ("counts", "[1,2]"),
+    ("basis", "5"), ("counts", "[1,2]"), ("mode", '"Sampled"'),
 ])
 def test_reconstruct_rejects_malformed_record_values(tmp_path, capsys, field, value):
     q = qutrit.make_qutrit(0.6, 0.3, 0.8)

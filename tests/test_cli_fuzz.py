@@ -69,7 +69,7 @@ state_args = st.one_of(
     st.tuples(st.just("--amplitudes"), amplitudes_flag),
     st.tuples(
         st.just("--family"),
-        st.sampled_from(cli._QUTRIT_FAMILIES + cli._QUQUART_FAMILIES + ("bogus",)),
+        st.sampled_from(tuple(cli._FAMILIES) + ("bogus",)),
         st.just("--param"),
         st.lists(number_text, max_size=4).map(",".join),
     ),

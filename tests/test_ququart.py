@@ -64,6 +64,14 @@ def test_state_rejects_non_finite_amplitudes():
         ququart.QuquartState(1, 0, 0, complex("nan+nanj"))
 
 
+@pytest.mark.parametrize("make, amps", [(qutrit.QutritState, (1, 1, 0)),
+                                        (ququart.QuquartState, (1, 1, 0, 0))])
+def test_unnormalized_state_prints_its_squared_norm(make, amps):
+    # one norm check for both kinds, in Python floats whatever the input type
+    with pytest.raises(ValueError, match=r"squared norm 2\.0; use make_"):
+        make(*amps)
+
+
 # ---------------------------------------------------------------------------
 # density matrices
 
