@@ -321,7 +321,6 @@ def _sweep_rows(family, grid_n):
             rep = qutrit.quantify(state)
             rows.append((float(c_plus), rep.schmidt_k, rep.concurrence, rep.entropy))
     else:
-        # fig4 sweeps psi_phi, fig5 psi_phi_prime
         header = ("phi", "K", "C_I", "S_r")
         build = _FAMILIES["psi_phi" if family == "fig4" else "psi_phi_prime"][2]
         for phi in np.linspace(0.0, math.pi, grid_n):
