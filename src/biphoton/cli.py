@@ -14,6 +14,10 @@ can be built by piping:
     biphoton simulate --amplitudes '[0.6,0,0.8]' \
       | biphoton simulate --amplitudes '[0.6,0,0.8]' --basis rotated45 \
       | biphoton reconstruct
+
+Any stdin that is not a terminal is read to its end first, so a first stage
+that inherits a stdin left open (a job runner, a script without a terminal)
+waits; give it < /dev/null there.
 """
 
 import argparse

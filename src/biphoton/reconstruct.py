@@ -6,14 +6,14 @@ polarizer frame adds interference information: the rotated magnitudes obey
 a small set of cosine equations in the original phases.  This module turns
 a (natural, rotated45) record pair into magnitude estimates and solves those
 equations for the phases.  Closed forms give every candidate root: +-acos
-branches, and for a ququart a walk along the curve one equation draws in
-two phase differences, whose sign changes of a circle condition are
-bisected 20 times (to about 1e-8 rad).  Damped Gauss-Newton steps then
-polish every candidate on the full equations, fitting noisy records in the
-least-squares sense.  Both kinds polish through one kernel that returns the
-residuals and the analytic Jacobian of a cosine system from one cosine and
-one sine per term; only the survivors of the residual threshold are built
-into states.
+branches, and for a ququart the 8 roots of a degree-4 trigonometric
+polynomial, the product of a circle condition over both branches of the
+curve one equation draws in two phase differences.  Damped Gauss-Newton
+steps then polish every candidate on the full equations, fitting noisy
+records in the least-squares sense.  Both kinds polish through one kernel
+that returns the residuals and the analytic Jacobian of a cosine system
+from one cosine and one sine per term; only the survivors of the residual
+threshold are built into states.
 
 Phase conventions (gauges):
 
@@ -40,7 +40,7 @@ returned, the canonical one first (lexicographically smallest phases modulo
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class MagnitudeEstimate:
     magnitudes: np.ndarray = None
     magnitudes45: np.ndarray = None
     noise_scale: float = 0.0
-    warnings: list = field(default_factory=list)
 
 
 @dataclass
@@ -210,7 +209,6 @@ def merge_estimates(a, b):
         magnitudes=nat.magnitudes,
         magnitudes45=rot.magnitudes45,
         noise_scale=max(a.noise_scale, b.noise_scale),
-        warnings=list(nat.warnings) + list(rot.warnings),
     )
 
 
@@ -434,7 +432,7 @@ def _prepare(est, kind):
         raise ValueError(f"estimate is for a {est.kind}, not a {kind}")
     m = np.asarray(est.magnitudes, dtype=float)
     n = np.asarray(est.magnitudes45, dtype=float)
-    return m, n, m < _zero_threshold(est), list(est.warnings)
+    return m, n, m < _zero_threshold(est), []
 
 
 def _pinned_warning(zero):
@@ -544,13 +542,6 @@ def qutrit_phases(est):
 # ququart phases
 # ---------------------------------------------------------------------------
 
-# sample points per chart of the e2 curve, and bisection steps per bracket
-# (512 points are 0.012 rad apart; 20 halvings take that to about 1e-8 rad,
-# from where the Gauss-Newton polish converges quadratically)
-CURVE_POINTS = 512
-BISECTIONS = 20
-
-
 def _w_system(m, rhs, u, v):
     """e1 and e3 as M (cos w, sin w) = (N1, N3), for u = p1 - p2, v = p3 - p4.
 
@@ -565,70 +556,43 @@ def _w_system(m, rhs, u, v):
     return (a11, a12), (a21, a22), adj, a11 * a22 - a12 * a21
 
 
-def _chart_point(m, rhs, t, free, sign):
-    """Point (u, v) of the e2 curve m1 m2 cos u + m3 m4 cos v = N2.
-
-    t is u where free is 0, else v; the other angle is sign * acos(...).
-    Also returns |adj(M) N|^2 - det(M)^2 there (see _w_system) and whether
-    the point is feasible with a slope of at most 2 in t.
-    """
-    coef_u, coef_v = m[0] * m[1], m[2] * m[3]
-    cf, cd = np.where(free, coef_v, coef_u), np.where(free, coef_u, coef_v)
-    arg = (rhs[1] - cf * np.cos(t)) / cd
-    dep = sign * _acos(arg)
-    u, v = np.where(free, dep, t), np.where(free, t, dep)
-    _, _, (c, s), det = _w_system(m, rhs, u, v)
-    ok = (np.abs(arg) <= 1.0 + 1e-12) & (
-        np.abs(cf * np.sin(t)) <= 2.0 * np.abs(cd * np.sin(dep)))
-    return u, v, c * c + s * s - det * det, ok
-
-
 def _curve_roots(m, rhs):
     """(u, v) on the e2 curve where the circle condition of _w_system holds.
 
-    The curve is walked in two overlapping charts, u free and v free, on
-    both acos branches and only where the slope is bounded; together they
-    cover all but the four critical points of e2.  Sign changes of the
-    circle gap on a fixed grid, the ends of the feasible arcs included, are
-    bisected; local minima of its magnitude seed near-tangencies.
+    Let t be the angle of the smaller coefficient a of e2 and d the other,
+    cos d = (N2 - a cos t) / b.  The circle gap is quadratic in the first
+    harmonics of u and v, so its product over d and -d is even in sin d: a
+    trigonometric polynomial H(t) of degree 4.  Sixteen samples fix it, with
+    d complex where the curve leaves the real torus.  The arguments of all
+    8 roots of z^4 H(z) come back with both signs of the real d; roots off
+    the unit circle are kept, because noise moves near-tangencies there.
     """
-    grid = np.linspace(-math.pi, math.pi, CURVE_POINTS, endpoint=False)
     coef = (m[0] * m[1], m[2] * m[3])
-    runs = []
-    for free in (0, 1):
-        ends = (rhs[1] - np.array([1.0, -1.0]) * coef[1 - free]) / coef[free]
-        ends = _acos(ends[np.abs(ends) <= 1.0])
-        t = np.sort(np.concatenate([grid, ends, -ends]))
-        t = np.append(t, t[0] + TWO_PI)
-        for sign in (1.0, -1.0):
-            runs.append((t, np.full(t.size, free), np.full(t.size, sign),
-                         np.arange(t.size) > 0))
-    t, free, sign, joined = (np.concatenate(a) for a in zip(*runs))
-    _, _, g, ok = _chart_point(m, rhs, t, free, sign)
-    pair = ok[:-1] & ok[1:] & joined[1:]
-    cross = pair & (g[:-1] * g[1:] <= 0.0)
-    lo, hi, g_lo = t[:-1][cross], t[1:][cross], g[:-1][cross]
-    for _ in range(BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        g_mid = _chart_point(m, rhs, mid, free[:-1][cross], sign[:-1][cross])[2]
-        left = g_lo * g_mid <= 0.0
-        hi, lo = np.where(left, mid, hi), np.where(left, lo, mid)
-        g_lo = np.where(left, g_lo, g_mid)
-    a = np.abs(g)
-    dip = np.zeros(t.size, dtype=bool)
-    dip[1:-1] = pair[:-1] & pair[1:] & (a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:])
-    seeds = np.concatenate([np.flatnonzero(cross), np.flatnonzero(dip)])
-    u, v, _, _ = _chart_point(m, rhs, np.concatenate([0.5 * (lo + hi), t[dip]]),
-                              free[seeds], sign[seeds])
-    return u, v
+    free = int(coef[1] < coef[0])
+    a, b = coef[free], coef[1 - free]
+
+    def gap(t, d):
+        u, v = (t, d) if free == 0 else (d, t)
+        _, _, (c, s), det = _w_system(m, rhs, u, v)
+        return c * c + s * s - det * det
+
+    t = np.arange(16) * (TWO_PI / 16)
+    d = np.arccos((rhs[1] - a * np.cos(t)) / b + 0j)
+    # harmonics 4 down to -4, the coefficients of z^4 H(z)
+    h = np.fft.fft((gap(t, d) * gap(t, -d)).real)[np.arange(4, -5, -1)]
+    t = np.angle(np.roots(h)) if np.isfinite(h).all() else np.zeros(0)
+    d = _acos((rhs[1] - a * np.cos(t)) / b)
+    t, d = np.tile(t, 2), np.concatenate([d, -d])
+    return (t, d) if free == 0 else (d, t)
 
 
 def _ququart_candidates(m, n, active):
     """Starting phases from closed forms; rows hold the phases of active[:-1].
 
-    All four present: every (u, v) from _curve_roots and every critical
-    point (u, v) in {0, pi}^2 of e2, where real amplitudes sit, comes with
-    both signs of the w that the better-scaled of e1 and e3 fixes.
+    All four present: the 16 points (u, v) from _curve_roots (8 polynomial
+    roots, each on both branches of e2) and the 4 critical points (u, v) in
+    {0, pi}^2 of e2, where real amplitudes sit, each come with both signs of
+    the w that the better-scaled of e1 and e3 fixes: at most 40 rows.
     Otherwise each phase difference to the first present amplitude is +-acos
     from the one equation where the two share a term, ignoring the terms of
     pinned amplitudes, or 0 or pi; noisy records can leave those terms large.

@@ -333,6 +333,10 @@ def test_ququart_single_amplitude_unobservable():
 def test_ququart_bell_like_state():
     s = ququart.make_ququart(1, 1, 1, -1)
     res = reconstruct.ququart_phases(ideal_estimate(s))
+    # all N vanish and the solutions form a continuum, of which the solver
+    # returns at most its candidate rows: 8 curve roots on both branches of
+    # e2 and the 4 critical points, each with both signs of w
+    assert len(res.solutions()) <= 40
     best = min(
         abs(ququart.quantify(sol).schmidt_k - 4) for sol in res.solutions()
     )
@@ -533,3 +537,63 @@ def test_sampled_real_records_reconstruct():
         res = reconstruct.ququart_phases(sampled_estimate(s, 10 * seed))
         assert min(abs(ququart.quantify(sol).i_concurrence - ci_true)
                    for sol in res.solutions()) <= 0.05
+
+
+def circle_gap(m, rhs, u, v):
+    _, _, (c, s), det = reconstruct._w_system(m, rhs, u, v)
+    return c * c + s * s - det * det
+
+
+def bisect_sign_changes(g, t):
+    # every sign change of g between neighbouring finite grid points,
+    # bisected to rounding
+    gt = g(t)
+    cross = np.flatnonzero(np.isfinite(gt[:-1]) & np.isfinite(gt[1:]) & (gt[:-1] * gt[1:] <= 0.0))
+    lo, hi, g_lo = t[cross], t[cross + 1], gt[cross]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        left = g_lo * g_mid <= 0.0
+        hi, lo, g_lo = np.where(left, mid, hi), np.where(left, lo, mid), np.where(left, g_lo, g_mid)
+    return 0.5 * (lo + hi)
+
+
+def test_curve_roots_match_a_dense_scan():
+    # oracle: walk both real branches v = +-acos((N2 - m1 m2 cos u) / (m3 m4))
+    # of e2 on a fine grid in u and bisect each sign change of the circle gap
+    # itself; every crossing must be a returned (u, v)
+    gen = np.random.default_rng(8)
+    u_grid = np.linspace(-math.pi, math.pi, 4097)
+    worst, crossings, worst_harmonic = 0.0, 0, 0.0
+    for i in range(50):
+        s = ququart.make_ququart(*(gen.normal(size=4) + 1j * gen.normal(size=4)))
+        for est in (ideal_estimate(s), sampled_estimate(s, 2 * i)):
+            m, n = est.magnitudes, est.magnitudes45
+            rhs = n[0] ** 2 + n[1:] ** 2 - 0.5
+
+            def cos_v(u):
+                return (rhs[1] - m[0] * m[1] * np.cos(u)) / (m[2] * m[3])
+
+            # the gap times its mirror in v is a trigonometric polynomial of
+            # degree 4 in u (v complex off the real branches)
+            t = np.arange(64) * (2 * math.pi / 64)
+            v = np.arccos(cos_v(t) + 0j)
+            harm = np.abs(np.fft.fft((circle_gap(m, rhs, t, v) * circle_gap(m, rhs, t, -v)).real))
+            worst_harmonic = max(worst_harmonic, harm[5:33].max() / harm.max())
+
+            u_root, v_root = reconstruct._curve_roots(m, rhs)
+            for sign in (1.0, -1.0):
+                def gap(u):
+                    x = cos_v(u)
+                    return np.where(np.abs(x) <= 1.0, circle_gap(
+                        m, rhs, u, sign * np.arccos(np.clip(x, -1.0, 1.0))), np.nan)
+
+                for u in bisect_sign_changes(gap, u_grid):
+                    v = sign * np.arccos(np.clip(cos_v(u), -1.0, 1.0))
+                    dist = np.maximum(np.abs(reconstruct._wrap(u_root - u)),
+                                      np.abs(reconstruct._wrap(v_root - v)))
+                    worst = max(worst, float(np.min(dist)))
+                    crossings += 1
+    assert crossings >= 200
+    assert worst <= 1e-6
+    assert worst_harmonic <= 1e-11
