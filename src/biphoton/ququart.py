@@ -32,6 +32,7 @@ from .tensor import (
     vn_entropy,
 )
 from .qutrit import (
+    ORACLE_TOL,
     _check_norm,
     _degree_p,
     _k_oracle,
@@ -45,8 +46,6 @@ SQRT2 = math.sqrt(2.0)
 
 # numpy divides a complex by a real as a product with the reciprocal
 _INV_SQRT2 = 1.0 / SQRT2
-
-ORACLE_TOL = 1e-12
 
 # single-photon modes in order: index 0..3
 MODES = ("Hh", "Hl", "Vh", "Vl")

@@ -76,7 +76,7 @@ class MalformedRecord(ValueError):
 class Inconsistent(RuntimeError):
     """No phase assignment reproduces the records within the ceiling.
 
-    For the real-amplitude shortcut this also flags a quadratic form pushed
+    For the real-amplitude shortcuts this also flags a quadratic form pushed
     out of its allowed range by noise; the attribute ``clipped`` then carries
     the quantifiers computed from the clipped value.
     """
@@ -386,16 +386,10 @@ def _polish(fun, x):
     return x
 
 
-def _canonical(entry):
-    # sort key of a (state, residual, display_phases) entry: the
-    # lexicographically smallest display phases modulo 2 pi come first
-    return tuple(round(p % TWO_PI, 9) for p in entry[2])
-
-
 def _rank_solutions(phases, rms, noise_scale, build):
     """Filter, dedupe and order refined solutions.
 
-    phases: (k, n) display phases of k refined rows, rms: their residuals,
+    phases: (k, n) display phases of k candidate rows, rms: their residuals,
     build: display phases -> state, called only for the rows kept.  Raises
     Inconsistent when nothing survives the residual ceiling.  Returns
     (state, residual, display_phases) entries in canonical order
@@ -422,7 +416,7 @@ def _rank_solutions(phases, rms, noise_scale, build):
             continue
         seen[len(out)] = np.conj(amps)
         out.append((st, float(rms[i]), ph))
-    out.sort(key=_canonical)
+    out.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
     return out
 
 
@@ -498,10 +492,11 @@ def qutrit_phases(est):
 
     Returns a ReconstructionResult in the C2-real gauge with every admissible
     solution (canonical first, mirrors and extra discrete branches as
-    alternates).  Raises Inconsistent when no phases fit, PhaseUnobservable
-    when the interference amplitude C2 is below the zero threshold while both
-    outer amplitudes are present (then only |phi1 - phi3| is recoverable and
-    the partial result rides on the exception).
+    alternates).  Raises Inconsistent when no phases fit, in every branch;
+    PhaseUnobservable when the interference amplitude C2 is below the zero
+    threshold while both outer amplitudes are present (then only
+    |phi1 - phi3| is recoverable; its two sign rows are ranked like any
+    other solutions and the partial result rides on the exception).
     """
     m, n, zero, warnings = _prepare(est, "qutrit")
 
@@ -511,19 +506,16 @@ def qutrit_phases(est):
     if zero[1] and not zero[0] and not zero[2]:
         # no interference term: only cos(phi1 - phi3) is fixed, sign and all
         psi = float(_acos((0.5 * (m[0] ** 2 + m[2] ** 2) - n[1] ** 2) / (m[0] * m[2])))
-        pairs = [(psi / 2.0, -psi / 2.0)]
-        if math.sin(psi) > 1e-12:
-            pairs.append((-psi / 2.0, psi / 2.0))
-        entries = [(build(ph), float(_rms(qutrit_phase_equations(m, n, *ph))), ph)
-                   for ph in pairs]
-        entries.sort(key=_canonical)
+        phases = np.array([[psi / 2.0, -psi / 2.0], [-psi / 2.0, psi / 2.0]])
+        ranked = _rank_solutions(phases, _rms(qutrit_phase_equations(m, n, *phases.T)),
+                                 est.noise_scale, build)
         warnings.append(
             "interference amplitude below threshold: only the relative phase "
             "phi1 - phi3 is observable, up to sign"
         )
         raise PhaseUnobservable(
             "C2 below threshold: phases only observable through phi1 - phi3",
-            result=_result("qutrit", entries, "phi3 = -phi1 (C2 below threshold)", warnings),
+            result=_result("qutrit", ranked, "phi3 = -phi1 (C2 below threshold)", warnings),
         )
 
     # a phase is solvable only when its amplitude and an interference partner
@@ -627,7 +619,9 @@ def ququart_phases(est):
     Same contract as qutrit_phases, in the zero-sum phase gauge.  Any
     amplitude below the zero threshold makes some phase combination
     unobservable; the partial result (unobservable phases pinned to 0) then
-    rides on a PhaseUnobservable exception.
+    rides on a PhaseUnobservable exception.  One present amplitude takes the
+    same path with no free phase, so mismatched records raise Inconsistent
+    there as well.
     """
     m, n, zero, warnings = _prepare(est, "ququart")
     active = [i for i in range(4) if not zero[i]]
@@ -637,14 +631,6 @@ def ququart_phases(est):
     def build(phases):
         return QuquartState(*(m * np.exp(1j * np.asarray(phases))))
 
-    if len(active) <= 1:
-        phases = (0.0, 0.0, 0.0, 0.0)
-        r = float(_rms(ququart_phase_equations(m, n, phases)))
-        raise PhaseUnobservable(
-            "at most one amplitude above threshold: no phase is observable",
-            result=_result("ququart", [(build(phases), r, phases)],
-                           "all phases pinned to 0 (at most one amplitude present)", warnings),
-        )
     # the first len(active) - 1 present phases are free, the last one
     # balances the sum to zero
     basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
@@ -683,16 +669,26 @@ def qutrit_real_shortcut(est, singles=None, singles45=None):
 
         1/K = (1 + dw^2 + dw45^2) / 2        C = sqrt(1 - dw^2 - dw45^2)
 
-    singles / singles45 are (w_H, w_V) pairs; when omitted they are derived
-    from the magnitude estimate via w_H = |C1|^2 + |C2|^2/2 and its mirror.
-    Returns (K, C).
+    singles / singles45 are the CoincidenceRecord.single_particle() mappings
+    of the natural and the rotated45 record, or bare (w_H, w_V) pairs; when
+    omitted they are derived from the magnitude estimate via
+    w_H = |C1|^2 + |C2|^2/2 and its mirror.  dw^2 + dw45^2 must not exceed
+    1; noise can push it past, in which case Inconsistent is raised carrying
+    the quantifiers of the clipped value (K = 1, C = 0).  Returns (K, C).
     """
     _require_both(est)
     dw = _imbalance(singles, est.magnitudes)
     dw45 = _imbalance(singles45, est.magnitudes45)
-    kinv = 0.5 * (1.0 + dw * dw + dw45 * dw45)
+    kinv = min(1.0, 0.5 * (1.0 + dw * dw + dw45 * dw45))
     c_sq = 1.0 - dw * dw - dw45 * dw45
-    return 1.0 / kinv, math.sqrt(max(0.0, c_sq))
+    k, c = 1.0 / kinv, math.sqrt(max(0.0, c_sq))
+    if c_sq < -1e-9:
+        raise Inconsistent(
+            f"dw^2 + dw45^2 exceeds 1 by {-c_sq:.3g}: records do not fit a "
+            "real-amplitude qutrit",
+            clipped=(k, c),
+        )
+    return k, c
 
 
 def ququart_real_shortcut(est):

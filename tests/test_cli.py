@@ -447,6 +447,26 @@ def test_reconstruct_corrupted_records_exit_code(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("natural, rotated", [
+    ([0.6, 0, 0.8], [0.1, 0.9, 0.3]),
+    ([0, 1, 0], [0.1, 0.9, 0.3]),
+    ([1, 0, 0, 0], [0.1, 0.9, 0.3, 0.2]),
+], ids=["c2_below_threshold", "outer_amplitudes_pinned", "one_ququart_amplitude"])
+def test_reconstruct_mismatched_records_exit_4_in_every_branch(tmp_path, capsys, natural,
+                                                                 rotated):
+    paths = []
+    for basis, amps in (("natural", natural), ("rotated45", rotated)):
+        code, out, _ = run_cli(capsys, "simulate", "--amplitudes", json.dumps(amps),
+                               "--basis", basis)
+        assert code == 0
+        paths.append(tmp_path / f"{basis}.json")
+        paths[-1].write_text(out)
+    code, out, err = run_cli(capsys, "reconstruct", *map(str, paths))
+    assert code == 4
+    assert out == ""
+    assert "no phase assignment fits the records" in err
+
+
 # ---------------------------------------------------------------------------
 # shell pipeline
 

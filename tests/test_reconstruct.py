@@ -217,17 +217,20 @@ def test_qutrit_gauge_makes_c2_real():
 
 
 def test_qutrit_phase_unobservable_branch():
-    q = qutrit.make_qutrit(1, 0, 1)
-    with pytest.raises(reconstruct.PhaseUnobservable) as err:
-        reconstruct.qutrit_phases(ideal_estimate(q))
-    res = err.value.result
-    assert res is not None
-    assert any(
-        matches_up_to_phase_or_conjugation(sol.amplitudes, q.amplitudes)
-        for sol in res.solutions()
-    )
-    assert abs(qutrit.concurrence(res.state) - 1) <= 1e-6
-    assert res.warnings
+    # C2 = 0 with real outer amplitudes: both sign rows of phi1 - phi3 are
+    # the same state (up to sign near pi), so it is printed once
+    for amps in ((1, 0, 1), (1, 0, -1), (1, 0, 2), (0.3, 0, -0.7)):
+        q = qutrit.make_qutrit(*amps)
+        with pytest.raises(reconstruct.PhaseUnobservable) as err:
+            reconstruct.qutrit_phases(ideal_estimate(q))
+        res = err.value.result
+        assert res is not None
+        sols = np.array([sol.amplitudes for sol in res.solutions()])
+        assert any(matches_up_to_phase_or_conjugation(a, q.amplitudes) for a in sols)
+        assert abs(qutrit.concurrence(res.state) - qutrit.quantify(q).concurrence) <= 1e-6
+        assert res.warnings
+        overlap = np.abs(np.conj(sols) @ sols.T)[~np.eye(len(sols), dtype=bool)]
+        assert np.all(overlap < 1 - 1e-8), amps
 
 
 def test_qutrit_phase_unobservable_nonzero_difference():
@@ -265,6 +268,25 @@ def test_qutrit_inconsistent_records():
     with pytest.raises(reconstruct.Inconsistent) as err:
         reconstruct.qutrit_phases(est)
     assert err.value.best_residual > 0.05
+
+
+@pytest.mark.parametrize("natural, rotated", [
+    ((0.6, 0, 0.8), (0.1, 0.9, 0.3)),
+    ((0, 1, 0), (0.1, 0.9, 0.3)),
+    ((1, 0, 0, 0), (0.1, 0.9, 0.3, 0.2)),
+], ids=["c2_below_threshold", "outer_amplitudes_pinned", "one_ququart_amplitude"])
+def test_mismatched_records_are_inconsistent_in_every_branch(natural, rotated):
+    make = qutrit.make_qutrit if len(natural) == 3 else ququart.make_ququart
+    rec_n, _ = ideal_records(make(*natural))
+    _, rec_r = ideal_records(make(*rotated))
+    est = reconstruct.merge_estimates(
+        reconstruct.magnitudes_from_record(rec_n),
+        reconstruct.magnitudes_from_record(rec_r),
+    )
+    solve = reconstruct.qutrit_phases if len(natural) == 3 else reconstruct.ququart_phases
+    with pytest.raises(reconstruct.Inconsistent) as err:
+        solve(est)
+    assert err.value.best_residual > reconstruct.RESIDUAL_CEILING
 
 
 def test_qutrit_noisy_round_trip():
@@ -380,6 +402,26 @@ def test_qutrit_shortcut_accepts_explicit_singles():
     rep = qutrit.quantify(q)
     assert abs(k - rep.schmidt_k) <= 1e-9
     assert abs(c - rep.concurrence) <= 1e-9
+
+
+def test_qutrit_shortcut_rejects_out_of_range():
+    # a sampled record of a nearly product state pushes dw^2 + dw45^2 past 1,
+    # with and without the records' single-photon probabilities
+    q = qutrit.make_qutrit(1, 0.01, 0)
+    cfg_n = measurement.ExperimentConfig(total_pairs=10**6, noise="sampled", seed=0)
+    cfg_r = measurement.ExperimentConfig(
+        total_pairs=10**6, basis="rotated45", noise="sampled", seed=1000
+    )
+    rec_n = measurement.sample_coincidences(q, cfg_n)
+    rec_r = measurement.sample_coincidences(q, cfg_r)
+    est = reconstruct.merge_estimates(
+        reconstruct.magnitudes_from_record(rec_n),
+        reconstruct.magnitudes_from_record(rec_r),
+    )
+    for singles in ((), (rec_n.single_particle(), rec_r.single_particle())):
+        with pytest.raises(reconstruct.Inconsistent) as err:
+            reconstruct.qutrit_real_shortcut(est, *singles)
+        assert err.value.clipped == (1.0, 0.0)
 
 
 def test_qutrit_shortcut_random_real_states():
