@@ -55,10 +55,6 @@ def _emit_json(payload):
     sys.stdout.write(jsonio.dumps(payload) + "\n")
 
 
-def _amplitude_list(state):
-    return [jsonio.complex_to_json(c) for c in state.amplitudes]
-
-
 # ---------------------------------------------------------------------------
 # state construction from flags
 # ---------------------------------------------------------------------------
@@ -165,26 +161,18 @@ def _resolve_seed(args):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _schmidt_payload(dec):
-    return {
-        "lambdas": [float(v) for v in dec.lambdas],
-        "modes": [
-            [jsonio.complex_to_json(z) for z in dec.modes_first[:, k]]
-            for k in range(dec.num_terms)
-        ],
-    }
-
-
 def cmd_quantify(args):
     kind, state = _build_state(args)
     ops = _KINDS[kind]
-    # the report fields are named as the printed keys
+    dec = ops.schmidt(state)
+    # the report fields are named as the printed keys; jsonio prints the
+    # arrays as they are, one Schmidt mode per row
     payload = {
         "schema": "report/1",
         "kind": kind,
-        "amplitudes": _amplitude_list(state),
+        "amplitudes": state.amplitudes,
         "entanglement": dataclasses.asdict(ops.quantify(state)),
-        "schmidt": _schmidt_payload(ops.schmidt(state)),
+        "schmidt": {"lambdas": dec.lambdas, "modes": dec.modes_first.T},
     }
     if kind == "qutrit":
         payload["polarization"] = dataclasses.asdict(qutrit.polarization(state))
@@ -203,7 +191,7 @@ def cmd_compare_2qubit(args):
     payload = {
         "schema": "compare/1",
         "kind": kind,
-        "amplitudes": _amplitude_list(state),
+        "amplitudes": state.amplitudes,
         "two_qudit": {
             "schmidt_k": rep.schmidt_k,
             "i_concurrence": rep.i_concurrence,

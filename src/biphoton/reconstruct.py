@@ -426,30 +426,33 @@ def _prepare(est, kind):
         raise ValueError(f"estimate is for a {est.kind}, not a {kind}")
     m = np.asarray(est.magnitudes, dtype=float)
     n = np.asarray(est.magnitudes45, dtype=float)
-    return m, n, m < _zero_threshold(est), []
+    # the tolerance of QutritState and QuquartState; NaN fails too
+    if not (abs(m @ m - 1.0) <= 1e-9 and abs(n @ n - 1.0) <= 1e-9):
+        raise ValueError("magnitude estimates must have unit squared sums")
+    return m, n, m < _zero_threshold(est)
 
 
 def _pinned_warning(zero):
     pinned = [i + 1 for i in range(len(zero)) if zero[i]]
-    return f"amplitudes {pinned} below the zero threshold; their phases are pinned to 0"
+    return ([f"amplitudes {pinned} below the zero threshold; their phases are pinned to 0"]
+            if pinned else [])
 
 
-def _solve(est, basis, x0, terms, equations, build):
-    """Polish the candidate rows x0 and rank the results.
+def _solve(est, basis, x0, terms, equations, build, gauge, warnings):
+    """Polish the candidate rows x0, rank the results and build the result.
 
     terms = (coef, forms, eq, rhs) describe the cosine system (see
     _cosine_system) in the phases, which are x @ basis, so pinned phases
-    stay 0.  The residuals are recomputed from the public equations.
+    stay 0 and tied ones keep their tie; terms may leave out equations or
+    terms that are not to be fitted.  The residuals are recomputed from the
+    public equations, all of them.
     """
     phases = _wrap(_polish(_cosine_system(*terms, basis), x0) @ basis)
     rms = _rms(equations(list(phases.T)))
-    return _rank_solutions(phases, rms, est.noise_scale, build)
-
-
-def _result(kind, ranked, gauge, warnings):
+    ranked = _rank_solutions(phases, rms, est.noise_scale, build)
     states = [e[0] for e in ranked]
     return ReconstructionResult(
-        kind=kind, state=states[0], residual=ranked[0][1],
+        kind=est.kind, state=states[0], residual=ranked[0][1],
         alternates=states[1:], gauge=gauge, warnings=warnings,
     )
 
@@ -494,11 +497,16 @@ def qutrit_phases(est):
     solution (canonical first, mirrors and extra discrete branches as
     alternates).  Raises Inconsistent when no phases fit, in every branch;
     PhaseUnobservable when the interference amplitude C2 is below the zero
-    threshold while both outer amplitudes are present (then only
-    |phi1 - phi3| is recoverable; its two sign rows are ranked like any
-    other solutions and the partial result rides on the exception).
+    threshold while both outer amplitudes are present.  Then only
+    |phi1 - phi3| is recoverable: its two sign rows go through the same
+    polish and ranking as any other candidates, on the tie phi3 = -phi1 and
+    with C2's terms dropped, so only e1 is fitted, and the partial result
+    rides on the exception.
     """
-    m, n, zero, warnings = _prepare(est, "qutrit")
+    m, n, zero = _prepare(est, "qutrit")
+
+    def equations(phi):
+        return qutrit_phase_equations(m, n, *phi)
 
     def build(phi):
         return QutritState(m[0] * np.exp(1j * phi[0]), m[1], m[2] * np.exp(1j * phi[1]))
@@ -506,28 +514,21 @@ def qutrit_phases(est):
     if zero[1] and not zero[0] and not zero[2]:
         # no interference term: only cos(phi1 - phi3) is fixed, sign and all
         psi = float(_acos((0.5 * (m[0] ** 2 + m[2] ** 2) - n[1] ** 2) / (m[0] * m[2])))
-        phases = np.array([[psi / 2.0, -psi / 2.0], [-psi / 2.0, psi / 2.0]])
-        ranked = _rank_solutions(phases, _rms(qutrit_phase_equations(m, n, *phases.T)),
-                                 est.noise_scale, build)
-        warnings.append(
-            "interference amplitude below threshold: only the relative phase "
-            "phi1 - phi3 is observable, up to sign"
-        )
+        result = _solve(est, np.array([[1.0, -1.0]]), [[psi / 2.0], [-psi / 2.0]],
+                        _qutrit_terms(m * [1.0, 0.0, 1.0], n), equations, build,
+                        "phi3 = -phi1 (C2 below threshold)",
+                        ["interference amplitude below threshold: only the relative phase "
+                         "phi1 - phi3 is observable, up to sign"])
         raise PhaseUnobservable(
-            "C2 below threshold: phases only observable through phi1 - phi3",
-            result=_result("qutrit", ranked, "phi3 = -phi1 (C2 below threshold)", warnings),
-        )
+            "C2 below threshold: phases only observable through phi1 - phi3", result=result)
 
     # a phase is solvable only when its amplitude and an interference partner
     # both survive the threshold
     a1 = (not zero[0]) and (not zero[1] or not zero[2])
     a3 = (not zero[2]) and (not zero[1] or not zero[0])
     free = [slot for slot, act in ((0, a1), (1, a3)) if act]
-    if zero.any():
-        warnings.append(_pinned_warning(zero))
-    ranked = _solve(est, np.eye(2)[free], _qutrit_candidates(m, n, free), _qutrit_terms(m, n),
-                    lambda p: qutrit_phase_equations(m, n, *p), build)
-    return _result("qutrit", ranked, "phi2 = 0 (C2 real non-negative)", warnings)
+    return _solve(est, np.eye(2)[free], _qutrit_candidates(m, n, free), _qutrit_terms(m, n),
+                  equations, build, "phi2 = 0 (C2 real non-negative)", _pinned_warning(zero))
 
 
 # ---------------------------------------------------------------------------
@@ -623,23 +624,21 @@ def ququart_phases(est):
     same path with no free phase, so mismatched records raise Inconsistent
     there as well.
     """
-    m, n, zero, warnings = _prepare(est, "ququart")
+    m, n, zero = _prepare(est, "ququart")
     active = [i for i in range(4) if not zero[i]]
-    if zero.any():
-        warnings.append(_pinned_warning(zero))
 
     def build(phases):
         return QuquartState(*(m * np.exp(1j * np.asarray(phases))))
 
-    # the first len(active) - 1 present phases are free, the last one
-    # balances the sum to zero
-    basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
-    ranked = _solve(est, basis, _ququart_candidates(m, n, active), _ququart_terms(m, n),
-                    lambda p: ququart_phase_equations(m, n, p), build)
     names = "+".join(f"phi{i + 1}" for i in active)
     gauge = (f"{names} = 0, phases of below-threshold amplitudes pinned to 0" if zero.any()
              else "phi1 + phi2 + phi3 + phi4 = 0")
-    result = _result("ququart", ranked, gauge, warnings)
+    # the first len(active) - 1 present phases are free, the last one
+    # balances the sum to zero
+    basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
+    result = _solve(est, basis, _ququart_candidates(m, n, active), _ququart_terms(m, n),
+                    lambda p: ququart_phase_equations(m, n, p), build, gauge,
+                    _pinned_warning(zero))
     if zero.any():
         raise PhaseUnobservable("amplitudes below threshold leave some phase "
                                 "combinations unobservable", result=result)
@@ -651,13 +650,11 @@ def ququart_phases(est):
 # ---------------------------------------------------------------------------
 
 def _imbalance(singles, mags):
-    # w_H - w_V from a CoincidenceRecord.single_particle() mapping, a bare
-    # (w_H, w_V) pair or, for None, the magnitudes
+    # w_H - w_V from a CoincidenceRecord.single_particle() mapping or, for
+    # None, the magnitudes
     if singles is None:
-        singles = (mags[0] ** 2 + mags[1] ** 2 / 2.0, mags[2] ** 2 + mags[1] ** 2 / 2.0)
-    elif hasattr(singles, "keys"):
-        singles = (singles["H"], singles["V"])
-    return float(singles[0]) - float(singles[1])
+        return float(mags[0] ** 2 + mags[1] ** 2 / 2.0) - float(mags[2] ** 2 + mags[1] ** 2 / 2.0)
+    return float(singles["H"]) - float(singles["V"])
 
 
 def qutrit_real_shortcut(est, singles=None, singles45=None):
@@ -670,11 +667,11 @@ def qutrit_real_shortcut(est, singles=None, singles45=None):
         1/K = (1 + dw^2 + dw45^2) / 2        C = sqrt(1 - dw^2 - dw45^2)
 
     singles / singles45 are the CoincidenceRecord.single_particle() mappings
-    of the natural and the rotated45 record, or bare (w_H, w_V) pairs; when
-    omitted they are derived from the magnitude estimate via
-    w_H = |C1|^2 + |C2|^2/2 and its mirror.  dw^2 + dw45^2 must not exceed
-    1; noise can push it past, in which case Inconsistent is raised carrying
-    the quantifiers of the clipped value (K = 1, C = 0).  Returns (K, C).
+    of the natural and the rotated45 record; when omitted they are derived
+    from the magnitude estimate via w_H = |C1|^2 + |C2|^2/2 and its mirror.
+    dw^2 + dw45^2 must not exceed 1; noise can push it past, in which case
+    Inconsistent is raised carrying the quantifiers of the clipped value
+    (K = 1, C = 0).  Returns (K, C).
     """
     _require_both(est)
     dw = _imbalance(singles, est.magnitudes)
@@ -703,7 +700,7 @@ def ququart_real_shortcut(est):
     noise can push it out, in which case Inconsistent is raised carrying the
     quantifiers of the clipped value.  Returns (K, C_I).
     """
-    m, n, _, _ = _prepare(est, "ququart")
+    m, n, _ = _prepare(est, "ququart")
     cross = n[0] ** 2 + n[3] ** 2 - 0.5
     d = 2.0 * (m[0] ** 2 * m[3] ** 2 + m[1] ** 2 * m[2] ** 2) - cross * cross
     d_clip = min(0.25, max(0.0, d))

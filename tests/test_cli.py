@@ -467,6 +467,15 @@ def test_reconstruct_mismatched_records_exit_4_in_every_branch(tmp_path, capsys,
     assert "no phase assignment fits the records" in err
 
 
+def test_reconstruct_records_of_two_kinds_exit_4(tmp_path, capsys):
+    natural = write_records(tmp_path, qutrit.make_qutrit(0.6, 0.3, 0.8), ("natural",))
+    rotated = write_records(tmp_path, ququart.make_ququart(0.5, 0.5, 0.5, 0.5), ("rotated45",))
+    code, out, err = run_cli(capsys, "reconstruct", *natural, *rotated)
+    assert code == 4
+    assert out == ""
+    assert "different state kinds" in err
+
+
 # ---------------------------------------------------------------------------
 # shell pipeline
 
@@ -523,6 +532,22 @@ def test_out_of_range_flags_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, seed_env, message", [
+    (["quantify", "--family", "psi_phi", "--param", "0.1,0.2"], None, "at most 1 parameter"),
+    (["quantify", "--family", "psi_phi", "--amplitudes", "[1,0,0]"], None, "not both"),
+    (["simulate", "--amplitudes", "[1,0,0]", "--noise", "sampled"], "seven", "BIPHOTON_SEED"),
+])
+def test_bad_state_or_seed_input_exits_2(capsys, monkeypatch, argv, seed_env, message):
+    if seed_env is None:
+        monkeypatch.delenv("BIPHOTON_SEED", raising=False)
+    else:
+        monkeypatch.setenv("BIPHOTON_SEED", seed_env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_simulate_rejects_pairs_beyond_the_sampler(capsys):

@@ -245,6 +245,14 @@ def test_ideal_record_has_no_seed():
     assert "seed" not in rec.to_dict()
 
 
+def test_conditionals_of_an_empty_record_raise():
+    cfg = measurement.ExperimentConfig(total_pairs=1000)
+    rec = measurement.expected_coincidences(random_qutrit(), cfg)
+    empty = dataclasses.replace(rec, counts=dict.fromkeys(rec.counts, 0.0))
+    with pytest.raises(ValueError, match="no coincidences"):
+        empty.conditional_probabilities()
+
+
 def test_record_kind_detection():
     cfg = measurement.ExperimentConfig(total_pairs=1000)
     s = ququart.make_ququart(1, 1, 0, 0)

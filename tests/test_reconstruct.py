@@ -118,6 +118,16 @@ def test_magnitudes_unknown_setting():
         reconstruct.magnitudes_from_record(broken)
 
 
+@pytest.mark.parametrize("field, value", [("counts", "zero"), ("basis", "diagonal")])
+def test_magnitudes_reject_empty_record_and_unknown_basis(field, value):
+    rec, _ = ideal_records(qutrit.make_qutrit(0.6, 0.3, 0.8))
+    doc = rec.to_dict()
+    doc[field] = {k: 0 for k in doc["counts"]} if value == "zero" else value
+    broken = measurement.CoincidenceRecord.from_dict(doc)
+    with pytest.raises(reconstruct.MalformedRecord):
+        reconstruct.magnitudes_from_record(broken)
+
+
 def test_magnitudes_are_renormalized():
     q = qutrit.make_qutrit(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
     cfg = measurement.ExperimentConfig(total_pairs=10**6, noise="sampled", seed=17)
@@ -148,6 +158,29 @@ def test_merge_estimates_validation():
     s_rec, _ = ideal_records(ququart.make_ququart(1, 0, 0, 0))
     with pytest.raises(ValueError):
         reconstruct.merge_estimates(nat, reconstruct.magnitudes_from_record(s_rec))
+
+
+def test_phase_solvers_need_both_bases_and_their_own_kind():
+    rec_n, _ = ideal_records(qutrit.make_qutrit(0.6, 0.3, 0.8))
+    with pytest.raises(reconstruct.IncompleteRecord):
+        reconstruct.qutrit_phases(reconstruct.magnitudes_from_record(rec_n))
+    with pytest.raises(ValueError, match="not a ququart"):
+        reconstruct.ququart_phases(ideal_estimate(qutrit.make_qutrit(0.6, 0.3, 0.8)))
+
+
+@pytest.mark.parametrize("magnitudes, magnitudes45", [
+    (np.zeros(3), np.full(3, 3 ** -0.5)),
+    (np.array([0.6, 0.0, 0.8]), np.full(3, 0.5)),
+    (np.zeros(4), np.full(4, 0.5)),
+    (np.full(4, 0.5), np.array([1.0, 0.0, 0.0, np.nan])),
+], ids=["qutrit_zero", "qutrit_rotated_short", "ququart_zero", "ququart_rotated_nan"])
+def test_phase_solvers_reject_magnitudes_of_non_unit_sum(magnitudes, magnitudes45):
+    # a hand-built estimate whose magnitudes fit no state
+    kind = "qutrit" if len(magnitudes) == 3 else "ququart"
+    est = reconstruct.MagnitudeEstimate(kind, magnitudes, magnitudes45)
+    solve = reconstruct.qutrit_phases if kind == "qutrit" else reconstruct.ququart_phases
+    with pytest.raises(ValueError, match="unit squared sums"):
+        solve(est)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +278,31 @@ def test_qutrit_phase_unobservable_nonzero_difference():
         matches_up_to_phase_or_conjugation(sol.amplitudes, q.amplitudes)
         for sol in sols
     )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_qutrit_c2_below_threshold_fits_e1_exactly(seed):
+    # C2 below the sampled threshold, yet some H|V or V|H counts: the sign
+    # rows fit e1 alone, so the noise in e2 cannot pull them off its root
+    q = qutrit.make_qutrit(0.6, 0.002, 0.48 + 0.64j)
+    cfg_n = measurement.ExperimentConfig(total_pairs=10**6, noise="sampled", seed=seed)
+    cfg_r = measurement.ExperimentConfig(
+        total_pairs=10**6, basis="rotated45", noise="sampled", seed=seed + 1
+    )
+    rec_n = measurement.sample_coincidences(q, cfg_n)
+    assert rec_n.counts["H|V"] + rec_n.counts["V|H"] > 0
+    est = reconstruct.merge_estimates(
+        reconstruct.magnitudes_from_record(rec_n),
+        reconstruct.magnitudes_from_record(measurement.sample_coincidences(q, cfg_r)),
+    )
+    with pytest.raises(reconstruct.PhaseUnobservable) as err:
+        reconstruct.qutrit_phases(est)
+    sols = err.value.result.solutions()
+    assert len(sols) == 2
+    for sol in sols:
+        e1, _ = reconstruct.qutrit_phase_equations(
+            est.magnitudes, est.magnitudes45, np.angle(sol.c1), np.angle(sol.c3))
+        assert abs(e1) <= 1e-12
 
 
 def test_qutrit_phases_irrelevant_when_only_c2():
