@@ -512,7 +512,9 @@ def qutrit_phases(est):
         return QutritState(m[0] * np.exp(1j * phi[0]), m[1], m[2] * np.exp(1j * phi[1]))
 
     if zero[1] and not zero[0] and not zero[2]:
-        # no interference term: only cos(phi1 - phi3) is fixed, sign and all
+        # no interference term: only cos(phi1 - phi3) is fixed, sign and all.
+        # The fit drops C2's terms, as fitting e2 would fit noise against the
+        # arbitrary tie phi1 + phi3 = 0
         psi = float(_acos((0.5 * (m[0] ** 2 + m[2] ** 2) - n[1] ** 2) / (m[0] * m[2])))
         result = _solve(est, np.array([[1.0, -1.0]]), [[psi / 2.0], [-psi / 2.0]],
                         _qutrit_terms(m * [1.0, 0.0, 1.0], n), equations, build,
