@@ -26,18 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    SCHMIDT_WEIGHT_CUTOFF,
     ConsistencyError,
-    schmidt_from_symmetric,
     schmidt_number,
     vn_entropy,
 )
 from .qutrit import (
     ORACLE_TOL,
     _check_norm,
+    _decomposition,
     _degree_p,
     _k_oracle,
     _normalized,
+    _partner,
     _spectrum,
+    _top_mode,
     concurrence as qutrit_concurrence,
     wavefunction as qutrit_wavefunction,
 )
@@ -233,8 +236,49 @@ def schmidt_decompose(s):
 
     Always at least two terms: a symmetrized product of distinct modes
     cannot factor, which is why K never reaches below 2.
+
+    Closed form, no eigensolver.  The amplitude matrix only couples the
+    high-frequency modes (Hh, Vh) to the low-frequency ones (Hl, Vl),
+    through A = [[C1, C2], [C3, C4]]/sqrt(2).  With e the high-frequency
+    photon's polarization eigenvector for (1 + P_h)/2 and f the vector
+    orthogonal to it, the low-frequency partners are w = A^T e*/|A^T e*| and
+    g = e^{i arg(C1 C4 - C2 C3)} times the vector orthogonal to w, so that
+    A = s1 e w^T + s2 f g^T.  Each such product gives two terms of equal
+    weight, with modes (e, w)/sqrt(2) and i (e, -w)/sqrt(2) on
+    (Hh, Hl, Vh, Vl): weight (1 + P_h)/4, the one quantify reports, for e
+    and w, and D/(1 + P_h) = (1 - P_h)/4 for f and g.  At call time the
+    terms, dropped ones included, must rebuild A within ORACLE_TOL.
     """
-    return schmidt_from_symmetric(amplitude_matrix(s))
+    c1, c2, c3, c4 = map(complex, (s.c1, s.c2, s.c3, s.c4))
+    h, v, x = _high_photon_state(s)
+    xi = (2.0 * x.real, -2.0 * x.imag, h - v)
+    p = _degree_p(xi)
+    lam_hi = _spectrum(p, 4)[0]
+    det = _pair_determinant(s)
+    lam_lo = min(lam_hi, abs(det) ** 2 / (1.0 + p))
+    a = ((c1 * _INV_SQRT2, c2 * _INV_SQRT2), (c3 * _INV_SQRT2, c4 * _INV_SQRT2))
+    e = _top_mode(xi, p)
+    f = _partner(e, 1.0)
+    w0 = a[0][0] * e[0].conjugate() + a[1][0] * e[1].conjugate()
+    w1 = a[0][1] * e[0].conjugate() + a[1][1] * e[1].conjugate()
+    n = math.hypot(w0.real, w0.imag, w1.real, w1.imag)
+    w = (w0 / n, w1 / n)
+    g = _partner(w, det / abs(det) if det else 1.0)
+    s_hi, s_lo = math.sqrt(lam_hi), math.sqrt(lam_lo)
+    err = max(abs(s_hi * e[i] * w[j] + s_lo * f[i] * g[j] - a[i][j])
+              for i in (0, 1) for j in (0, 1))
+    if err > ORACLE_TOL:
+        raise ConsistencyError(
+            f"Schmidt terms rebuild the amplitude matrix only within {err!r}"
+        )
+    modes = []
+    for hi, lo in ((e, w), (f, g)):
+        hi0, hi1 = hi[0] * _INV_SQRT2, hi[1] * _INV_SQRT2
+        lo0, lo1 = lo[0] * _INV_SQRT2, lo[1] * _INV_SQRT2
+        modes += [(hi0, lo0, hi1, lo1), (1j * hi0, -1j * lo0, 1j * hi1, -1j * lo1)]
+    if lam_lo >= SCHMIDT_WEIGHT_CUTOFF:
+        return _decomposition([lam_hi, lam_hi, lam_lo, lam_lo], modes)
+    return _decomposition([lam_hi, lam_hi], modes[:2])
 
 
 def family_psi_phi(phi):

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConsistencyError, schmidt_from_symmetric, vn_entropy
+from .tensor import (
+    SCHMIDT_WEIGHT_CUTOFF,
+    ConsistencyError,
+    SchmidtDecomposition,
+    vn_entropy,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -283,8 +288,74 @@ def schmidt_decompose(q):
     At most two terms for a qutrit; weights below the global cutoff are
     dropped, so a product state comes back with a single term.  Both photons
     share one mode per term because the state is exchange symmetric.
+
+    Closed form, no eigensolver.  The weights are lambda_+ = (1 + P)/2, the
+    one quantify reports, and lambda_- = 2 |det M|^2/(1 + P) with
+    det M = C1 C3 - C2^2/2, which keeps its digits near product states.  The
+    first mode u solves M u* = sqrt(lambda_+) u: with v the reduced state's
+    eigenvector for lambda_+ (any unit vector at P = 0) and w = M v*/|M v*|,
+    u is v + w normalized, or i (v - w) where v + w cancels; this holds at
+    degenerate weights too.  The second mode is the vector orthogonal to u,
+    turned by the phase e^{i arg(det M)/2}.  At call time the terms, dropped
+    ones included, must rebuild the amplitude matrix M within ORACLE_TOL.
     """
-    return schmidt_from_symmetric(amplitude_matrix(q))
+    c1, c2, c3 = complex(q.c1), complex(q.c2), complex(q.c3)
+    xi = _polarization_vector(q)
+    p = _degree_p(xi)
+    lam_p = _spectrum(p, 2)[0]
+    det = c1 * c3 - c2 * c2 / 2.0
+    lam_m = min(lam_p, 2.0 * abs(det) ** 2 / (1.0 + p))
+    m01 = c2 / SQRT2
+    v0, v1 = _top_mode(xi, p)
+    w0 = c1 * v0.conjugate() + m01 * v1.conjugate()
+    w1 = m01 * v0.conjugate() + c3 * v1.conjugate()
+    n = math.hypot(w0.real, w0.imag, w1.real, w1.imag)
+    w0, w1 = w0 / n, w1 / n
+    if (v0.conjugate() * w0 + v1.conjugate() * w1).real >= 0.0:
+        u0, u1 = v0 + w0, v1 + w1
+    else:
+        u0, u1 = 1j * (v0 - w0), 1j * (v1 - w1)
+    n = math.hypot(u0.real, u0.imag, u1.real, u1.imag)
+    u = (u0 / n, u1 / n)
+    x = _partner(u, cmath.sqrt(det / abs(det)) if det else 1.0)
+    s_p, s_m = math.sqrt(lam_p), math.sqrt(lam_m)
+    err = max(abs(s_p * u[i] * u[j] + s_m * x[i] * x[j] - m)
+              for i, j, m in ((0, 0, c1), (0, 1, m01), (1, 1, c3)))
+    if err > ORACLE_TOL:
+        raise ConsistencyError(
+            f"Schmidt terms rebuild the amplitude matrix only within {err!r}"
+        )
+    if lam_m >= SCHMIDT_WEIGHT_CUTOFF:
+        return _decomposition([lam_p, lam_m], [u, x])
+    return _decomposition([lam_p], [u])
+
+
+def _top_mode(xi, p):
+    # unit eigenvector of (1 + xi.sigma)/2 for (1 + P)/2, with P = |xi| and
+    # (1, 0) at P = 0; of the two forms, the one without cancellation
+    x, y, z = xi
+    if p == 0.0:
+        return 1.0 + 0j, 0j
+    if z >= 0.0:
+        a, b = complex(p + z), complex(x, y)
+    else:
+        a, b = complex(x, -y), complex(p - z)
+    n = math.hypot(a.real, a.imag, b.real, b.imag)
+    return a / n, b / n
+
+
+def _partner(u, phase):
+    # the unit vector orthogonal to u, (-u1*, u0*), times a unit phase
+    return -phase * u[1].conjugate(), phase * u[0].conjugate()
+
+
+def _decomposition(lambdas, modes):
+    # modes are the single-photon mode tuples, one per term; both photons
+    # carry the same mode, so one array serves both; + 0j turns a -0.0 part
+    # into 0.0
+    m = np.array(modes, dtype=complex)
+    m += 0j
+    return SchmidtDecomposition(lambdas, m.T, m.T)
 
 
 def _polarization_vector(q):

@@ -212,14 +212,6 @@ def merge_estimates(a, b):
     )
 
 
-def _require_both(est):
-    if est.magnitudes is None or est.magnitudes45 is None:
-        raise IncompleteRecord(
-            "phase recovery needs magnitudes in both the natural and the "
-            "rotated45 basis"
-        )
-
-
 def _zero_threshold(est):
     if est.noise_scale > 0.0:
         return min(3.0 * est.noise_scale, SAMPLED_ZERO_CAP)
@@ -421,7 +413,11 @@ def _rank_solutions(phases, rms, noise_scale, build):
 
 
 def _prepare(est, kind):
-    _require_both(est)
+    if est.magnitudes is None or est.magnitudes45 is None:
+        raise IncompleteRecord(
+            "phase recovery needs magnitudes in both the natural and the "
+            "rotated45 basis"
+        )
     if est.kind != kind:
         raise ValueError(f"estimate is for a {est.kind}, not a {kind}")
     m = np.asarray(est.magnitudes, dtype=float)
@@ -675,9 +671,9 @@ def qutrit_real_shortcut(est, singles=None, singles45=None):
     Inconsistent is raised carrying the quantifiers of the clipped value
     (K = 1, C = 0).  Returns (K, C).
     """
-    _require_both(est)
-    dw = _imbalance(singles, est.magnitudes)
-    dw45 = _imbalance(singles45, est.magnitudes45)
+    m, n, _ = _prepare(est, "qutrit")
+    dw = _imbalance(singles, m)
+    dw45 = _imbalance(singles45, n)
     kinv = min(1.0, 0.5 * (1.0 + dw * dw + dw45 * dw45))
     c_sq = 1.0 - dw * dw - dw45 * dw45
     k, c = 1.0 / kinv, math.sqrt(max(0.0, c_sq))

@@ -188,8 +188,9 @@ class SchmidtDecomposition:
     modes_first, modes_second : (d, r) arrays
         Orthonormal single-photon Schmidt modes, one column per term.  For
         exchange-symmetric states both photons carry the same mode in each
-        term, so the two arrays coincide; schmidt_from_symmetric passes one
-        array for both.
+        term, so the two arrays coincide; schmidt_from_symmetric and the
+        closed forms of the qutrit and ququart modules pass one array for
+        both.
     """
 
     def __init__(self, lambdas, modes_first, modes_second):

@@ -76,6 +76,17 @@ def test_two_qubit_halving_check_fires(monkeypatch):
         ququart.two_qubit_model(QUQUART)
 
 
+@pytest.mark.parametrize("module, state", [(qutrit, QUTRIT), (ququart, QUQUART)],
+                         ids=["qutrit", "ququart"])
+def test_schmidt_rebuild_check_fires(monkeypatch, module, state):
+    # the leading weight and the first mode come from the polarization
+    # degree, so the terms of a shifted degree no longer rebuild the state
+    module.schmidt_decompose(state)
+    shifted(monkeypatch, module, "_degree_p")
+    with pytest.raises(ConsistencyError, match="Schmidt terms rebuild"):
+        module.schmidt_decompose(state)
+
+
 def oracle_purities(monkeypatch):
     # record Tr(rho_r^2) as the quantify functions compute it
     seen = []

@@ -491,6 +491,24 @@ def test_qutrit_shortcut_random_real_states():
         assert abs(c - rep.concurrence) <= 1e-9
 
 
+def test_qutrit_shortcut_rejects_a_ququart_estimate():
+    # these ququart records once gave (K, C) = (2.0, 1.0)
+    est = ideal_estimate(ququart.make_ququart(0.5, 0.5j, -0.5, 0.5))
+    with pytest.raises(ValueError, match="not a qutrit"):
+        reconstruct.qutrit_real_shortcut(est)
+
+
+@pytest.mark.parametrize("magnitudes, magnitudes45", [
+    (np.array([0.6, 0.0, 0.6]), np.full(3, 3 ** -0.5)),
+    (np.array([0.6, 0.0, 0.8]), np.full(3, 0.5)),
+    (np.array([0.6, 0.0, 0.8]), np.array([1.0, 0.0, np.nan])),
+], ids=["natural_short", "rotated_short", "rotated_nan"])
+def test_qutrit_shortcut_rejects_magnitudes_of_non_unit_sum(magnitudes, magnitudes45):
+    est = reconstruct.MagnitudeEstimate("qutrit", magnitudes, magnitudes45)
+    with pytest.raises(ValueError, match="unit squared sums"):
+        reconstruct.qutrit_real_shortcut(est)
+
+
 def test_ququart_shortcut_examples():
     for amps, k_want in (
         ((1, 0, 0, 1), 4.0),
