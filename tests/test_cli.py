@@ -162,10 +162,10 @@ _QUANTIFY_STDOUT = [
      '3338427094506,"lambda_minus":0.04408846090309898,"lambda_plus":0.955911539096901'
      '08,"schmidt_k":1.092048002109983},"kind":"qutrit","polarization":{"degree_p":0.9'
      '1182307819380204,"xi":[-0.41960182619861058,0.79258122726404234,-0.1648351648351'
-     '6492]},"schema":"report/1","schmidt":{"lambdas":[0.95591153909690063,0.044088460'
-     '903099057],"modes":[[{"im":-0.28079044876246995,"re":-0.57512523255895931},{"im"'
-     ':-0.45250166907313016,"re":0.62099108708886042}],[{"im":0.36448493127451564,"re"'
-     ':0.6764158673712386},{"im":-0.35589378337857297,"re":0.53193225526819854}]]}}\n'),
+     '6492]},"schema":"report/1","schmidt":{"lambdas":[0.95591153909690108,0.044088460'
+     '903098987],"modes":[[{"im":-0.28079044876246995,"re":-0.57512523255895964},{"im"'
+     ':-0.45250166907313022,"re":0.62099108708886042}],[{"im":-0.36448493127451564,"re'
+     '":-0.67641586737123838},{"im":0.35589378337857291,"re":-0.53193225526819865}]]}}\n'),
     (['--amplitudes', '[[0.7,-0.2],[0.1,0.45],[-0.35,0.3]]', '--dump-density'],
      '{"amplitudes":[{"im":-0.20465780403866035,"re":0.7163023141353112},{"im":0.46048'
      '00590869858,"re":0.10232890201933018},{"im":0.3069867060579905,"re":-0.358151157'
@@ -184,11 +184,11 @@ _QUANTIFY_STDOUT = [
      'tropy":0.38351562197989797,"lambda_minus":0.074780542715375542,"lambda_plus":0.9'
      '252194572846244,"schmidt_k":1.1606001678179294},"kind":"qutrit","polarization":{'
      '"degree_p":0.85043891456924892,"xi":[0.11846815182182993,0.77374511658632694,0.3'
-     '3246073298429324]},"schema":"report/1","schmidt":{"lambdas":[0.92521945728462385'
-     ',0.074780542715375625],"modes":[[{"im":0.095732132772877968,"re":-0.828431991135'
-     '53467},{"im":-0.53229705497645929,"re":-0.1455872249936726}],[{"im":0.1829254480'
-     '5269537,"re":-0.52064774586344886},{"im":0.73589549641874463,"re":0.392328973608'
-     '42367}]]}}\n'),
+     '3246073298429324]},"schema":"report/1","schmidt":{"lambdas":[0.9252194572846244,'
+     '0.074780542715375556],"modes":[[{"im":-0.095732132772878051,"re":0.8284319911355'
+     '3445},{"im":0.53229705497645918,"re":0.1455872249936726}],[{"im":0.1829254480526'
+     '9528,"re":-0.52064774586344897},{"im":0.73589549641874485,"re":0.392328973608423'
+     '78}]]}}\n'),
     (['--amplitudes', '[[0.3,0.4],[-0.5,0.1],[0.2,-0.6],[0.1,0.25]]'],
      '{"amplitudes":[{"im":0.40354661784425466,"re":0.30265996338319096},{"im":0.10088'
      '665446106367,"re":-0.50443327230531831},{"im":-0.60531992676638191,"re":0.201773'
@@ -196,23 +196,22 @@ _QUANTIFY_STDOUT = [
      ':{"entropy":1.2719633164211968,"i_concurrence":1.0435207263005759,"lambdas":[0.4'
      '7667832212772321,0.47667832212772321,0.023321677872276819,0.023321677872276819],"s'
      'chmidt_k":2.1952342711760817},"kind":"ququart","schema":"report/1","schmidt":{"l'
-     'ambdas":[0.47667832212772349,0.47667832212772254,0.023321677872276896,0.02332167'
-     '7872276826],"modes":[[{"im":2.4990220226455438e-17,"re":-0.51041522971593012},{"'
-     'im":-0.44046470796864523,"re":-0.38090885783951578},{"im":0.43435111020699829,"r'
-     'e":0.22542272808211306},{"im":-0.039388528739942329,"re":0.39918395115183991}],['
-     '{"im":-0.51041522971593012,"re":-2.9780462547120058e-17},{"im":0.380908857839515'
-     '67,"re":-0.44046470796864495},{"im":0.225422728082113,"re":-0.43435111020699818}'
-     ',{"im":-0.39918395115183958,"re":-0.03938852873994219}],[{"im":0.487806894587015'
-     '09,"re":-0.038996498142872427},{"im":0.37652865133430835,"re":-0.138294821948830'
-     '19},{"im":0.19827084408890938,"re":-0.47033220080091975},{"im":0.479246954819281'
-     '87,"re":0.3307915858103917}],[{"im":-0.03899649814287235,"re":-0.487806894587015'
-     '59},{"im":0.1382948219488298,"re":0.37652865133430813},{"im":-0.4703322008009201'
-     '4,"re":-0.19827084408890971},{"im":-0.33079158581039153,"re":0.47924695481928187'
-     '}]]}}\n'),
+     'ambdas":[0.47667832212772321,0.47667832212772321,0.023321677872276826,0.02332167'
+     '7872276826],"modes":[[{"im":0,"re":0.51041522971593001},{"im":0.4404647079686450'
+     '6,"re":0.38090885783951589},{"im":-0.43435111020699846,"re":-0.22542272808211314'
+     '},{"im":0.039388528739942315,"re":-0.39918395115183986}],[{"im":0.51041522971593'
+     '001,"re":0},{"im":-0.38090885783951589,"re":0.44046470796864506},{"im":-0.225422'
+     '72808211314,"re":0.43435111020699846},{"im":0.39918395115183986,"re":0.039388528'
+     '739942315}],[{"im":-0.43435111020699846,"re":0.22542272808211314},{"im":-0.40068'
+     '040375952096,"re":-0.01882809328102512},{"im":0,"re":0.51041522971593001},{"im":'
+     '-0.31311555523157752,"re":-0.4909779689747078}],[{"im":0.22542272808211314,"re":'
+     '0.43435111020699846},{"im":0.01882809328102512,"re":-0.40068040375952096},{"im":'
+     '0.51041522971593001,"re":0},{"im":0.4909779689747078,"re":-0.31311555523157752}]'
+     ']}}\n'),
 ]
 _QUANTIFY_STDOUT_SHA256 = [
     (['--amplitudes', '[[-0.6,0.15],[0.2,0.3],[0.45,-0.1],[0.05,0.5]]', '--dump-density'],
-     '9987cf4a6811a23b2bca3acb620d7bbac5eeaded65e1c4fa0654ad4a94c0eed7'),
+     'a7748f431095790a71ed5a4ccbfcec7b5f9527f3d79c1a58d34d97613c9053ca'),
 ]
 
 

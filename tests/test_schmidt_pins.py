@@ -4,9 +4,10 @@ SHA-256 digests of the raw bytes (signed zeros included) of every
 `schmidt_decompose` weight and mode and of every `two_qubit_model` field, over
 seeded states of each kind: Haar states, states with one or two zero
 amplitudes, real states of mixed sign and both named families.  A change to
-`tensor.takagi`, `tensor.schmidt_from_symmetric` or the amplitude matrices
-that moves any bit fails here.  The digests were recorded with numpy 2.4 on
-OpenBLAS 0.3.31 (x86-64); another LAPACK build may round `eigh` differently.
+the closed-form Schmidt decompositions, the polarization vectors they start
+from or the two-qubit model that moves any bit fails here.  Neither path
+calls an eigensolver, so the digests no longer depend on how a LAPACK build
+rounds `eigh`; they were recorded with numpy 2.4 on x86-64.
 """
 
 import hashlib
@@ -78,25 +79,25 @@ def two_qubit_digest(typ):
 
 _SCHMIDT = {
     ("qutrit", "haar"):
-        "dc595723bf88905ed9e062792166938914d8ab100ed23d48026e0f9c0e9a95db",
+        "48f3fad54f932e47c953e2b1da25045bb234efba6a327f3b7fa4a4f944dde99f",
     ("qutrit", "zero1"):
-        "21c738dc5c4313913ee096c9f91f988aff608ca6e4f65f02ffdcf065e11585fa",
+        "7d045cafc3cb87aa0b3a118dbb14de41be160f82409c140798d31326f1f0c4a6",
     ("qutrit", "zero2"):
-        "bcb9256230a06cfd6370d70a03c35a7fe6db21c235128e85c025ff33badad047",
+        "c1997a1c7613229c76f6eb96f01a2fc682c5ee0353c6f8659960464e91712a5a",
     ("qutrit", "real"):
-        "f544d384b89d4fafc88050f40bfb753f8b90b8753b5ee6106d75caab5e358b85",
+        "6188c84262870d159a3cdff06fbbcec34bb5c4900b261c06a49efa7c93ca358d",
     ("qutrit", "families"):
-        "58625523d877f9c50d89b06ebef272e6555670a6e460d232172a0a70629d4e73",
+        "abc3537e4e175cda343de41044d6b643f73507eadc483aa7e4c9dd3ae0b8a5dd",
     ("ququart", "haar"):
-        "e433ff4dbd04eacf575cc9693b0b1d127a46de806d3fd4587a9eb9c3057f5d86",
+        "0288613272ed698a0a1439728134462be071ce848aa17440c46b6b08387fbb6e",
     ("ququart", "zero1"):
-        "c6833f74756902d6d14fba9938f4feb69c321bd78c34591b479a74f7d6044af0",
+        "70859f07a68b5ec94e3471b6fcee14c9b6961a7cffd512a8c018e1ee5d5b9bf2",
     ("ququart", "zero2"):
-        "be2785ee4129137350e89c2c2b4433afd2a629f4b0697c796af75cddda316afd",
+        "62e51f44443736387f227297d271b085aa3c580274e68c7ebd8088ec9a13df34",
     ("ququart", "real"):
-        "7af447f68c89d7881cfeaae7364a75fc7410b91e04282de48dd554048a055f20",
+        "78fba1bb3a8d1ec4d404728283d197f2443ca98219ead41f3019262f0d67a167",
     ("ququart", "families"):
-        "fb54a889071917053fcfc2cf0be118ec8c70b59d62bf7edf8b918eca69284a61",
+        "092fbba4e14e1d9eb4605b3967a3fa61ec07b08f2aa5f74d8ec4a214c38f8b01",
 }
 
 _TWO_QUBIT = {
