@@ -137,6 +137,17 @@ def test_leading_weight_is_quantify_lambda(kind, typ):
         assert module.schmidt_decompose(s).lambdas[0] == top
 
 
+def test_weights_descend_at_maximal_entanglement():
+    # rounding puts D/(1 + P_h) above (1 + P_h)/4 for some maximal ququarts
+    # and 2 |det M|^2/(1 + P) above (1 + P)/2 for some maximal qutrits
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        s = ququart.make_ququart(*maximal_ququart(rng).tolist())
+        assert np.all(np.diff(ququart.schmidt_decompose(s).lambdas) <= 0.0)
+        q = qutrit.make_qutrit(*near_maximal_qutrit(rng).tolist())
+        assert np.all(np.diff(qutrit.schmidt_decompose(q).lambdas) <= 0.0)
+
+
 @pytest.mark.parametrize("kind, amplitudes, terms", [
     ("qutrit", (0, 1, 0), 2),
     ("qutrit", (1, 0, 1e-7), 1),
