@@ -34,6 +34,7 @@ from .tensor import (
 from .qutrit import (
     ORACLE_TOL,
     _check_norm,
+    _check_terms,
     _decomposition,
     _degree_p,
     _k_oracle,
@@ -41,6 +42,7 @@ from .qutrit import (
     _partner,
     _spectrum,
     _top_mode,
+    _unit,
     concurrence as qutrit_concurrence,
     wavefunction as qutrit_wavefunction,
 )
@@ -259,18 +261,10 @@ def schmidt_decompose(s):
     a = ((c1 * _INV_SQRT2, c2 * _INV_SQRT2), (c3 * _INV_SQRT2, c4 * _INV_SQRT2))
     e = _top_mode(xi, p)
     f = _partner(e, 1.0)
-    w0 = a[0][0] * e[0].conjugate() + a[1][0] * e[1].conjugate()
-    w1 = a[0][1] * e[0].conjugate() + a[1][1] * e[1].conjugate()
-    n = math.hypot(w0.real, w0.imag, w1.real, w1.imag)
-    w = (w0 / n, w1 / n)
+    w = _unit(a[0][0] * e[0].conjugate() + a[1][0] * e[1].conjugate(),
+              a[0][1] * e[0].conjugate() + a[1][1] * e[1].conjugate())
     g = _partner(w, det / abs(det) if det else 1.0)
-    s_hi, s_lo = math.sqrt(lam_hi), math.sqrt(lam_lo)
-    err = max(abs(s_hi * e[i] * w[j] + s_lo * f[i] * g[j] - a[i][j])
-              for i in (0, 1) for j in (0, 1))
-    if err > ORACLE_TOL:
-        raise ConsistencyError(
-            f"Schmidt terms rebuild the amplitude matrix only within {err!r}"
-        )
+    _check_terms(math.sqrt(lam_hi), e, w, math.sqrt(lam_lo), f, g, a)
     modes = []
     for hi, lo in ((e, w), (f, g)):
         hi0, hi1 = hi[0] * _INV_SQRT2, hi[1] * _INV_SQRT2

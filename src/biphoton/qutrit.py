@@ -307,27 +307,23 @@ def schmidt_decompose(q):
     lam_m = min(lam_p, 2.0 * abs(det) ** 2 / (1.0 + p))
     m01 = c2 / SQRT2
     v0, v1 = _top_mode(xi, p)
-    w0 = c1 * v0.conjugate() + m01 * v1.conjugate()
-    w1 = m01 * v0.conjugate() + c3 * v1.conjugate()
-    n = math.hypot(w0.real, w0.imag, w1.real, w1.imag)
-    w0, w1 = w0 / n, w1 / n
+    w0, w1 = _unit(c1 * v0.conjugate() + m01 * v1.conjugate(),
+                   m01 * v0.conjugate() + c3 * v1.conjugate())
     if (v0.conjugate() * w0 + v1.conjugate() * w1).real >= 0.0:
-        u0, u1 = v0 + w0, v1 + w1
+        u = _unit(v0 + w0, v1 + w1)
     else:
-        u0, u1 = 1j * (v0 - w0), 1j * (v1 - w1)
-    n = math.hypot(u0.real, u0.imag, u1.real, u1.imag)
-    u = (u0 / n, u1 / n)
+        u = _unit(1j * (v0 - w0), 1j * (v1 - w1))
     x = _partner(u, cmath.sqrt(det / abs(det)) if det else 1.0)
-    s_p, s_m = math.sqrt(lam_p), math.sqrt(lam_m)
-    err = max(abs(s_p * u[i] * u[j] + s_m * x[i] * x[j] - m)
-              for i, j, m in ((0, 0, c1), (0, 1, m01), (1, 1, c3)))
-    if err > ORACLE_TOL:
-        raise ConsistencyError(
-            f"Schmidt terms rebuild the amplitude matrix only within {err!r}"
-        )
+    _check_terms(math.sqrt(lam_p), u, u, math.sqrt(lam_m), x, x, ((c1, m01), (m01, c3)))
     if lam_m >= SCHMIDT_WEIGHT_CUTOFF:
         return _decomposition([lam_p, lam_m], [u, x])
     return _decomposition([lam_p], [u])
+
+
+def _unit(a, b):
+    # the complex pair (a, b) scaled to unit length
+    n = math.hypot(a.real, a.imag, b.real, b.imag)
+    return a / n, b / n
 
 
 def _top_mode(xi, p):
@@ -337,16 +333,25 @@ def _top_mode(xi, p):
     if p == 0.0:
         return 1.0 + 0j, 0j
     if z >= 0.0:
-        a, b = complex(p + z), complex(x, y)
-    else:
-        a, b = complex(x, -y), complex(p - z)
-    n = math.hypot(a.real, a.imag, b.real, b.imag)
-    return a / n, b / n
+        return _unit(complex(p + z), complex(x, y))
+    return _unit(complex(x, -y), complex(p - z))
 
 
 def _partner(u, phase):
     # the unit vector orthogonal to u, (-u1*, u0*), times a unit phase
     return -phase * u[1].conjugate(), phase * u[0].conjugate()
+
+
+def _check_terms(s1, a, b, s2, c, d, m):
+    # the call-time check of a Schmidt decomposition: the two terms
+    # s1 a b^T + s2 c d^T, dropped weights included, rebuild the 2x2
+    # amplitude block m
+    err = max(abs(s1 * a[i] * b[j] + s2 * c[i] * d[j] - m[i][j])
+              for i in (0, 1) for j in (0, 1))
+    if err > ORACLE_TOL:
+        raise ConsistencyError(
+            f"Schmidt terms rebuild the amplitude matrix only within {err!r}"
+        )
 
 
 def _decomposition(lambdas, modes):
