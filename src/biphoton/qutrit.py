@@ -355,12 +355,12 @@ def _check_terms(s1, a, b, s2, c, d, m):
 
 
 def _decomposition(lambdas, modes):
-    # modes are the single-photon mode tuples, one per term; both photons
-    # carry the same mode, so one array serves both; + 0j turns a -0.0 part
-    # into 0.0
-    m = np.array(modes, dtype=complex)
+    # modes are the single-photon mode tuples, one per term, which become
+    # the columns of one contiguous array; both photons carry the same mode,
+    # so that array serves both; + 0j turns a -0.0 part into 0.0
+    m = np.array(modes, dtype=complex).T.copy()
     m += 0j
-    return SchmidtDecomposition(lambdas, m.T, m.T)
+    return SchmidtDecomposition(lambdas, m, m)
 
 
 def _polarization_vector(q):

@@ -94,7 +94,7 @@ def deviations(kind, s):
     lam, modes = dec.lambdas, dec.modes_first
     assert dec.num_terms == ref.num_terms
     assert np.all(np.diff(lam) <= 0.0)
-    assert dec.modes_second is dec.modes_first or np.array_equal(dec.modes_second, modes)
+    assert np.array_equal(dec.modes_second, modes)
     out = {
         "weights": np.max(np.abs(lam - ref.lambdas)),
         "orthonormal": np.max(np.abs(modes.conj().T @ modes - np.eye(lam.size))),
