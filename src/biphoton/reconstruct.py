@@ -669,7 +669,9 @@ def qutrit_real_shortcut(est, singles=None, singles45=None):
     from the magnitude estimate via w_H = |C1|^2 + |C2|^2/2 and its mirror.
     dw^2 + dw45^2 must not exceed 1; noise can push it past, in which case
     Inconsistent is raised carrying the quantifiers of the clipped value
-    (K = 1, C = 0).  Returns (K, C).
+    (K = 1, C = 0).  As in qutrit_phases, an estimate of another kind or
+    with magnitudes of non-unit squared sums raises ValueError.  Returns
+    (K, C).
     """
     m, n, _ = _prepare(est, "qutrit")
     dw = _imbalance(singles, m)
