@@ -257,6 +257,7 @@ def schmidt_decompose(s):
     p = _degree_p(xi)
     lam_hi = _spectrum(p, 4)[0]
     det = _pair_determinant(s)
+    # min: as for the qutrit, rounding near P_h = 0 must not reorder them
     lam_lo = min(lam_hi, abs(det) ** 2 / (1.0 + p))
     a = ((c1 * _INV_SQRT2, c2 * _INV_SQRT2), (c3 * _INV_SQRT2, c4 * _INV_SQRT2))
     e = _top_mode(xi, p)

@@ -304,6 +304,8 @@ def schmidt_decompose(q):
     p = _degree_p(xi)
     lam_p = _spectrum(p, 2)[0]
     det = c1 * c3 - c2 * c2 / 2.0
+    # min: rounding puts lambda_- above lambda_+ for some maximally
+    # entangled states, and the weights must descend
     lam_m = min(lam_p, 2.0 * abs(det) ** 2 / (1.0 + p))
     m01 = c2 / SQRT2
     v0, v1 = _top_mode(xi, p)
