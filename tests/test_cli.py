@@ -475,6 +475,121 @@ def test_reconstruct_records_of_two_kinds_exit_4(tmp_path, capsys):
     assert "different state kinds" in err
 
 
+def reconstruct_pipe(tmp_path, capsys, amps, natural_flags=(), rotated_flags=()):
+    # the CI pipe `simulate | simulate --basis rotated45 | reconstruct`, with
+    # each record in a file
+    paths = []
+    for basis, flags in (("natural", natural_flags), ("rotated45", rotated_flags)):
+        code, out, err = run_cli(capsys, "simulate", "--amplitudes", amps, *flags,
+                                 "--basis", basis)
+        assert code == 0, err
+        paths.append(tmp_path / f"{basis}.json")
+        paths[-1].write_text(out)
+    return run_cli(capsys, "reconstruct", *map(str, paths))
+
+
+_SEEDS_1_2 = (["--noise", "sampled", "--seed", "1"], ["--noise", "sampled", "--seed", "2"])
+_README_STATE = "[[0.5,0],[0.5,0.5],[0.5,0]]"
+_AMPS4 = "[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.2,0.45]]"
+_C2_WARNING = "warning: C2 below threshold: phases only observable through phi1 - phi3\n"
+
+# stdout SHA-256 of qutrit pipes, recorded before rows were deduplicated as
+# one amplitude array
+_RECONSTRUCT_QUTRIT_SHA256 = [
+    (_README_STATE, ((), ()), "",
+     "6cfa7493e02eb6be991be9a659d7bca8d6b9d391e47c75cf14507c60fced1530"),
+    (_README_STATE, _SEEDS_1_2, "",
+     "233405051eedcd61a25fcb026406a338ee76b9a38a065afeb3c18e860d286e0e"),
+    ("[1,0,-1]", ((), ()), _C2_WARNING,
+     "cf6737d711304bdb1589e47ebb3e327c2cdb8e89c7d08e5fdb17d4e50f78523e"),
+    ("[0.6,0.001,[0.48,0.64]]", _SEEDS_1_2, _C2_WARNING,
+     "9b33a11f604e7de0e5f179237998a25e7430e16305252fa822be9bd31641ab43"),
+]
+
+
+@pytest.mark.parametrize("amps, flags, warning, digest", _RECONSTRUCT_QUTRIT_SHA256,
+                         ids=["readme_ideal", "readme_sampled", "c2_zero_ideal",
+                              "c2_below_threshold_sampled"])
+def test_reconstruct_qutrit_stdout_is_pinned(tmp_path, capsys, amps, flags, warning, digest):
+    code, out, err = reconstruct_pipe(tmp_path, capsys, amps, *flags)
+    assert (code, err) == (0, warning)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ququart solution sets, recorded as the qutrit digests were; the printed
+# order and representative follow np.roots' root order, which may differ
+# between numpy versions, so only the set up to global phase is pinned
+_RECONSTRUCT_QUQUART = [
+    (_AMPS4, ((), ()), "", 3.583229404124382e-17, [
+        [(0.4916077673561543, 0.08774030817468409), (0.36515690695344, -0.34064202898011287),
+         (0.010581245296546865, 0.509155828991091), (0.27560938429967713, -0.4073508673506655)],
+        [(0.4075725972875922, 0.28855005899104824), (-0.4993761692009932, -1.541532430624348e-05),
+         (0.3565941085656577, 0.3635825390250401), (-0.07816661192217975, 0.48557722622255867)],
+        [(-0.4991170301518431, 0.01608567113599541), (0.4320831660965242, 0.2503611315270298),
+         (-0.10156801024337074, 0.49903462830031486), (0.31447797006994443, 0.37815191151979344)],
+        [(-0.08774030817468406, -0.4916077673561543), (0.34064202898011303, -0.3651569069534398),
+         (-0.509155828991091, -0.010581245296546896), (0.4073508673506654, -0.2756093842996773)],
+        [(0.016085671135995044, -0.4991170301518431), (0.25036113152703043, 0.4320831660965238),
+         (0.49903462830031486, -0.10156801024337056), (0.3781519115197932, 0.31447797006994477)],
+        [(0.31355040083238195, -0.3886678591565604), (-0.09580660446188066, -0.4900996359363839),
+         (0.44420187505422104, -0.24907090385258793), (-0.4916717035528106, -0.012417639504501025)],
+        [(0.38866785915656055, -0.3135504008323817), (0.49009963593638384, 0.0958066044618808),
+         (0.24907090385258776, -0.44420187505422115), (0.012417639504500994, 0.4916717035528106)],
+        [(0.4075725972875922, -0.28855005899104824), (-0.4993761692009932, 1.541532430646525e-05),
+         (0.3565941085656578, -0.36358253902504), (-0.07816661192217954, -0.4855772262225587)],
+    ]),
+    (_AMPS4, _SEEDS_1_2, "", 3.925231146709438e-17, [
+        [(0.490918598788604, 0.08775906558597028), (0.3652350406593748, -0.34155951264287016),
+         (0.010340667695512343, 0.5091288082569564), (0.2758198430749805, -0.4072371318153298)],
+        [(0.2882311590786005, 0.40697115765775776), (0.00043233605340223317, -0.5000593451659784),
+         (0.3632951052366703, 0.35684133633397114), (0.48548588814350524, -0.07888041440430589)],
+        [(0.016571526497117985, 0.4984256300980562), (0.24840073681582517, -0.43400070224787113),
+         (0.49875165641644037, 0.10279035960339225), (0.3793844484566832, -0.3130273272931637)],
+        [(-0.2882311590786004, 0.40697115765775776), (-0.000432336053402283, -0.5000593451659784),
+         (-0.36329510523667047, 0.356841336333971), (-0.48548588814350524, -0.07888041440430595)],
+        [(0.016571526497117874, -0.4984256300980562), (0.24840073681582517, 0.43400070224787113),
+         (0.49875165641644037, -0.10279035960339225), (0.37938444845668307, 0.31302732729316385)],
+        [(0.3115223776505164, -0.38943103683715047), (-0.09776782874278477, -0.49040899998390286),
+         (0.4455129813382861, -0.24665209560149617), (-0.4916635334455456, -0.013624875886553955)],
+        [(0.38943103683715047, -0.3115223776505164), (0.4904089999839029, 0.0977678287427847),
+         (0.2466520956014962, -0.4455129813382861), (0.013624875886553926, 0.49166353344554564)],
+        [(0.490918598788604, -0.08775906558597028), (0.3652350406593746, 0.3415595126428703),
+         (0.010340667695512343, -0.5091288082569564), (0.27581984307498064, 0.40723713181532967)],
+    ]),
+    ("[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.00004,0.00003]]", ((), ()),
+     "warning: amplitudes below threshold leave some phase combinations unobservable\n",
+     2.278261357874107e-06, [
+        [(0.5672139540746823, 0.08494526262219157), (0.2723271403590146, 0.5047626134757511),
+         (0.1984179344794581, -0.5502141267810687), (5.735393337330831e-05, 0)],
+        [(0.5672139540746823, -0.08494526262219157), (0.2723271403590146, -0.5047626134757511),
+         (0.19841793447945832, 0.5502141267810686), (5.735393337330831e-05, 0)],
+    ]),
+]
+
+
+def _same_up_to_global_phase(a, b, tol):
+    overlap = np.vdot(a, b)
+    aligned = b * (abs(overlap) / overlap) if overlap else b
+    return np.max(np.abs(aligned - a)) <= tol
+
+
+@pytest.mark.parametrize("amps, flags, warning, residual, expected", _RECONSTRUCT_QUQUART,
+                         ids=["amps4_ideal", "amps4_sampled", "tiny_amplitude_ideal"])
+def test_reconstruct_ququart_solutions_are_pinned(tmp_path, capsys, amps, flags, warning,
+                                                  residual, expected):
+    code, out, err = reconstruct_pipe(tmp_path, capsys, amps, *flags)
+    assert (code, err) == (0, warning)
+    doc = json.loads(out)
+    assert abs(doc["residual"] - residual) <= 1e-15
+    got = [np.array([complex(a["re"], a["im"]) for a in sol])
+           for sol in [doc["amplitudes"]] + doc["alternates"]]
+    assert len(got) == len(expected)
+    for sol in expected:
+        want = np.array([complex(*z) for z in sol])
+        matches = [g for g in got if _same_up_to_global_phase(want, g, 1e-12)]
+        assert len(matches) == 1
+
+
 # ---------------------------------------------------------------------------
 # shell pipeline
 
