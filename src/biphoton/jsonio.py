@@ -25,9 +25,22 @@ def csv_cell(x):
     return repr(float(x))
 
 
+# what json.dumps calls for a str, without its encoder set-up on every call
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _emit(o, out):
-    if isinstance(o, str):
-        out.append(json.dumps(o))
+    # the exact types a result document is made of come first; every other
+    # type takes the isinstance chain below
+    t = type(o)
+    if t is float:
+        out.append(format_float(o))
+    elif t is dict:
+        _emit_object(o, out)
+    elif t is list or t is tuple:
+        _emit_array(o, out)
+    elif isinstance(o, str):
+        out.append(_encode_str(o))
     elif isinstance(o, bool):
         out.append("true" if o else "false")
     elif o is None:
@@ -37,30 +50,37 @@ def _emit(o, out):
     elif isinstance(o, (float, np.floating)):
         out.append(format_float(o))
     elif isinstance(o, (complex, np.complexfloating)):
-        _emit({"re": float(o.real), "im": float(o.imag)}, out)
+        _emit_object({"re": float(o.real), "im": float(o.imag)}, out)
     elif isinstance(o, dict):
-        out.append("{")
-        first = True
-        for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(o[key], out)
-        out.append("}")
+        _emit_object(o, out)
     elif isinstance(o, (list, tuple, np.ndarray)):
-        seq = o.tolist() if isinstance(o, np.ndarray) else o
-        out.append("[")
-        for i, item in enumerate(seq):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+        _emit_array(o.tolist() if isinstance(o, np.ndarray) else o, out)
     else:
         raise TypeError(f"cannot serialize {type(o).__name__}")
+
+
+def _emit_object(o, out):
+    out.append("{")
+    first = True
+    for key in sorted(o):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        if not first:
+            out.append(",")
+        first = False
+        out.append(_encode_str(key))
+        out.append(":")
+        _emit(o[key], out)
+    out.append("}")
+
+
+def _emit_array(seq, out):
+    out.append("[")
+    for i, item in enumerate(seq):
+        if i:
+            out.append(",")
+        _emit(item, out)
+    out.append("]")
 
 
 def dumps(obj):

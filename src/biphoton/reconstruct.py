@@ -12,8 +12,9 @@ curve one equation draws in two phase differences.  Damped Gauss-Newton
 steps then polish every candidate on the full equations, fitting noisy
 records in the least-squares sense.  Both kinds polish through one kernel
 that returns the residuals and the analytic Jacobian of a cosine system
-from one cosine and one sine per term; only the survivors of the residual
-threshold are built into states.
+from one cosine and one sine per term.  The rows within the keep
+threshold are deduplicated as one amplitude array, and only the solutions
+that get printed are built into states.
 
 Phase conventions (gauges):
 
@@ -378,16 +379,17 @@ def _polish(fun, x):
     return x
 
 
-def _rank_solutions(phases, rms, noise_scale, build):
+def _rank_solutions(phases, rms, noise_scale, amplitudes):
     """Filter, dedupe and order refined solutions.
 
     phases: (k, n) display phases of k candidate rows, rms: their residuals,
-    build: display phases -> state, called only for the rows kept.  Raises
-    Inconsistent when nothing survives the residual ceiling.  Returns
-    (state, residual, display_phases) entries in canonical order
-    (lexicographically smallest display phases modulo 2 pi), physically
-    identical duplicates removed in favour of the one with the smallest
-    residual.
+    amplitudes: display phases (j, n) -> amplitude rows (j, d), called once
+    on all the rows within the keep threshold.  Their overlaps are taken as
+    one Gram matrix, and a row is dropped as a physically identical
+    duplicate when it overlaps a row of smaller residual already kept.
+    Raises Inconsistent when nothing survives the residual ceiling.  Returns
+    (amplitude row, residual, display_phases) entries in canonical order
+    (lexicographically smallest display phases modulo 2 pi).
     """
     best = float(np.min(rms))
     if best > RESIDUAL_CEILING:
@@ -397,17 +399,13 @@ def _rank_solutions(phases, rms, noise_scale, build):
         )
     keep = np.flatnonzero(rms <= _keep_threshold(best, noise_scale))
     keep = keep[np.argsort(rms[keep], kind="stable")]
-    out, seen = [], None
-    for i in keep:
-        ph = tuple(phases[i].tolist())
-        st = build(ph)
-        amps = st.amplitudes
-        if seen is None:
-            seen = np.zeros((len(keep), amps.size), dtype=complex)
-        elif np.max(np.abs(seen[:len(out)] @ amps)) >= 1.0 - OVERLAP_DEDUPE:
-            continue
-        seen[len(out)] = np.conj(amps)
-        out.append((st, float(rms[i]), ph))
+    rows = amplitudes(phases[keep])
+    same = (np.abs(rows.conj() @ rows.T) >= 1.0 - OVERLAP_DEDUPE).tolist()
+    kept = []
+    for i in range(len(keep)):
+        if not any(same[j][i] for j in kept):
+            kept.append(i)
+    out = [(rows[i], float(rms[keep[i]]), tuple(phases[keep[i]].tolist())) for i in kept]
     out.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
     return out
 
@@ -434,19 +432,22 @@ def _pinned_warning(zero):
             if pinned else [])
 
 
-def _solve(est, basis, x0, terms, equations, build, gauge, warnings):
+def _solve(est, basis, x0, terms, equations, amplitudes, gauge, warnings):
     """Polish the candidate rows x0, rank the results and build the result.
 
     terms = (coef, forms, eq, rhs) describe the cosine system (see
     _cosine_system) in the phases, which are x @ basis, so pinned phases
     stay 0 and tied ones keep their tie; terms may leave out equations or
     terms that are not to be fitted.  The residuals are recomputed from the
-    public equations, all of them.
+    public equations, all of them.  amplitudes maps display phases to
+    amplitude rows (see _rank_solutions); the rows are deduplicated as one
+    array, and only the printed solutions are built into states.
     """
     phases = _wrap(_polish(_cosine_system(*terms, basis), x0) @ basis)
     rms = _rms(equations(list(phases.T)))
-    ranked = _rank_solutions(phases, rms, est.noise_scale, build)
-    states = [e[0] for e in ranked]
+    ranked = _rank_solutions(phases, rms, est.noise_scale, amplitudes)
+    state = QutritState if est.kind == "qutrit" else QuquartState
+    states = [state(*e[0]) for e in ranked]
     return ReconstructionResult(
         kind=est.kind, state=states[0], residual=ranked[0][1],
         alternates=states[1:], gauge=gauge, warnings=warnings,
@@ -504,8 +505,11 @@ def qutrit_phases(est):
     def equations(phi):
         return qutrit_phase_equations(m, n, *phi)
 
-    def build(phi):
-        return QutritState(m[0] * np.exp(1j * phi[0]), m[1], m[2] * np.exp(1j * phi[1]))
+    def amplitudes(phi):
+        # C2 keeps phase 0, so it stays real in its column
+        phases = np.zeros((len(phi), 3))
+        phases[:, 0::2] = phi
+        return m * np.exp(1j * phases)
 
     if zero[1] and not zero[0] and not zero[2]:
         # no interference term: only cos(phi1 - phi3) is fixed, sign and all.
@@ -513,7 +517,7 @@ def qutrit_phases(est):
         # arbitrary tie phi1 + phi3 = 0
         psi = float(_acos((0.5 * (m[0] ** 2 + m[2] ** 2) - n[1] ** 2) / (m[0] * m[2])))
         result = _solve(est, np.array([[1.0, -1.0]]), [[psi / 2.0], [-psi / 2.0]],
-                        _qutrit_terms(m * [1.0, 0.0, 1.0], n), equations, build,
+                        _qutrit_terms(m * [1.0, 0.0, 1.0], n), equations, amplitudes,
                         "phi3 = -phi1 (C2 below threshold)",
                         ["interference amplitude below threshold: only the relative phase "
                          "phi1 - phi3 is observable, up to sign"])
@@ -526,7 +530,8 @@ def qutrit_phases(est):
     a3 = (not zero[2]) and (not zero[1] or not zero[0])
     free = [slot for slot, act in ((0, a1), (1, a3)) if act]
     return _solve(est, np.eye(2)[free], _qutrit_candidates(m, n, free), _qutrit_terms(m, n),
-                  equations, build, "phi2 = 0 (C2 real non-negative)", _pinned_warning(zero))
+                  equations, amplitudes, "phi2 = 0 (C2 real non-negative)",
+                  _pinned_warning(zero))
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +630,6 @@ def ququart_phases(est):
     m, n, zero = _prepare(est, "ququart")
     active = [i for i in range(4) if not zero[i]]
 
-    def build(phases):
-        return QuquartState(*(m * np.exp(1j * np.asarray(phases))))
-
     names = "+".join(f"phi{i + 1}" for i in active)
     gauge = (f"{names} = 0, phases of below-threshold amplitudes pinned to 0" if zero.any()
              else "phi1 + phi2 + phi3 + phi4 = 0")
@@ -635,7 +637,8 @@ def ququart_phases(est):
     # balances the sum to zero
     basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
     result = _solve(est, basis, _ququart_candidates(m, n, active), _ququart_terms(m, n),
-                    lambda p: ququart_phase_equations(m, n, p), build, gauge,
+                    lambda p: ququart_phase_equations(m, n, p),
+                    lambda p: m * np.exp(1j * p), gauge,
                     _pinned_warning(zero))
     if zero.any():
         raise PhaseUnobservable("amplitudes below threshold leave some phase "

@@ -127,17 +127,25 @@ def vn_entropy(eigvals, clip=1e-12):
     negative than ``-clip``; the 0*log(0) = 0 convention applies.  A NaN
     entry contributes nothing and, like numpy's min, disables the check.
     """
-    lam = np.asarray(eigvals, dtype=float).ravel().tolist()
-    if lam and not any(x != x for x in lam) and min(lam) < -clip:
+    # a flat list of Python floats (what quantify passes) is taken as it is
+    if type(eigvals) is list and all(type(x) is float for x in eigvals):
+        lam = eigvals
+    else:
+        lam = np.asarray(eigvals, dtype=float).ravel().tolist()
+    if lam and min(lam) < -clip and not any(x != x for x in lam):
         raise ConsistencyError(
             f"eigenvalue {min(lam):.3e} below the positivity tolerance"
         )
-    # summed in order from 0.0, as numpy sums fewer than eight terms
-    acc = 0.0
+    # summed in order from 0.0, as numpy sums fewer than eight terms; each
+    # log2 is numpy's (math.log2 differs in the last bit for some doubles),
+    # taken once per run of equal values
+    acc, prev, log = 0.0, None, 0.0
     for x in lam:
         if x > 0.0:
             x = min(x, 1.0)
-            acc += x * np.log2(x)
+            if x != prev:
+                prev, log = x, float(np.log2(x))
+            acc += x * log
     # adding +0.0 turns the -0.0 of a pure state into 0.0 and nothing else
     return float(-acc) + 0.0
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import jsonio
 
@@ -58,3 +60,121 @@ def test_complex_from_json_rejects_bool():
 def test_csv_cell_round_trips():
     for x in (1 / 3, 0.1, -7.25, 1e-300):
         assert float(jsonio.csv_cell(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# dumps against the recursive encoder it replaced
+
+def reference_emit(o, out):
+    # one isinstance chain for every value, json.dumps for every string
+    if isinstance(o, str):
+        out.append(json.dumps(o))
+    elif isinstance(o, bool):
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
+    elif isinstance(o, (int, np.integer)):
+        out.append(str(int(o)))
+    elif isinstance(o, (float, np.floating)):
+        out.append(jsonio.format_float(o))
+    elif isinstance(o, (complex, np.complexfloating)):
+        reference_emit({"re": float(o.real), "im": float(o.imag)}, out)
+    elif isinstance(o, dict):
+        out.append("{")
+        first = True
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            if not first:
+                out.append(",")
+            first = False
+            out.append(json.dumps(key))
+            out.append(":")
+            reference_emit(o[key], out)
+        out.append("}")
+    elif isinstance(o, (list, tuple, np.ndarray)):
+        seq = o.tolist() if isinstance(o, np.ndarray) else o
+        out.append("[")
+        for i, item in enumerate(seq):
+            if i:
+                out.append(",")
+            reference_emit(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(o).__name__}")
+
+
+def outcome(dump, doc):
+    try:
+        return dump(doc)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+def reference_dumps(doc):
+    out = []
+    reference_emit(doc, out)
+    return "".join(out)
+
+
+# keys and strings with non-ASCII letters, control characters and quotes
+text = st.text(st.characters(codec="utf-8"), max_size=6)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+numbers = st.one_of(
+    finite, st.integers(-10**30, 10**30), st.booleans(), st.none(), text,
+    finite.map(np.float64), finite32.map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+    text.map(np.str_),
+    st.lists(finite, max_size=4).map(np.array),
+    st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=3).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array),
+)
+documents = st.recursive(
+    numbers,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.one_of(text, text.map(np.str_)), inner, max_size=4)),
+    max_leaves=20,
+)
+# each leaf that cannot be written: non-finite numbers, an unknown type,
+# and an object whose keys are not all strings
+unwritable = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                              complex(0, math.inf), np.array([1.0, math.nan]), object(), {1, 2},
+                              b"x", {1: 2}, {"a": 1, 2: 3}])
+documents_with_errors = st.recursive(
+    st.one_of(numbers, unwritable),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(text, inner, max_size=4)),
+    max_leaves=12,
+)
+REFERENCE = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@REFERENCE
+@given(documents)
+def test_dumps_matches_the_reference_encoder(doc):
+    assert jsonio.dumps(doc) == reference_dumps(doc)
+
+
+@REFERENCE
+@given(documents_with_errors)
+def test_dumps_fails_as_the_reference_encoder_does(doc):
+    assert outcome(jsonio.dumps, doc) == outcome(reference_dumps, doc)
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ({1: 2}, TypeError, "JSON object keys must be strings, got 1"),
+    ({"a": [1, {"b": 2, (1,): 3}]}, TypeError, "'<' not supported"),
+    ([0.5, math.nan], ValueError, "non-finite number cannot be serialized"),
+    ({"x": -math.inf}, ValueError, "non-finite number cannot be serialized"),
+    (np.array([math.inf]), ValueError, "non-finite number cannot be serialized"),
+    ([object()], TypeError, "cannot serialize object"),
+    ({"s": {1, 2}}, TypeError, "cannot serialize set"),
+])
+def test_dumps_errors_match_the_reference_encoder(doc, error, message):
+    with pytest.raises(error, match=message):
+        jsonio.dumps(doc)
+    assert outcome(jsonio.dumps, doc) == outcome(reference_dumps, doc)

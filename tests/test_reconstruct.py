@@ -433,6 +433,92 @@ def test_ququart_gauge_sum_zero():
 
 
 # ---------------------------------------------------------------------------
+# ranking: rows are deduplicated as one amplitude array, and only the printed
+# solutions become states
+
+@pytest.mark.parametrize("name, make, solve, amps", [
+    # C1 = C3 real: two of the four candidate rows are duplicates
+    ("QutritState", qutrit.make_qutrit, reconstruct.qutrit_phases, (0.5, 0.5 + 0.5j, 0.5)),
+    ("QuquartState", ququart.make_ququart, reconstruct.ququart_phases,
+     (0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j)),
+], ids=["qutrit", "ququart"])
+def test_only_the_printed_solutions_are_built_into_states(monkeypatch, name, make, solve,
+                                                          amps):
+    est = ideal_estimate(make(*amps))
+    state_class, built = getattr(reconstruct, name), []
+
+    def spy(*amplitudes):
+        built.append(amplitudes)
+        return state_class(*amplitudes)
+
+    monkeypatch.setattr(reconstruct, name, spy)
+    res = solve(est)
+    assert len(built) == len(res.solutions())
+    assert [s.amplitudes.tolist() for s in res.solutions()] == [list(a) for a in built]
+
+
+def ququart_rows(phases):
+    return np.array([0.5, 0.3, 0.6, math.sqrt(0.3)]) * np.exp(1j * phases)
+
+
+def reference_rank(phases, rms, noise_scale, amplitudes):
+    # the loop that built and compared one row at a time, in residual order
+    best = float(np.min(rms))
+    keep = np.flatnonzero(rms <= reconstruct._keep_threshold(best, noise_scale))
+    keep = keep[np.argsort(rms[keep], kind="stable")]
+    out, seen = [], []
+    for i in keep:
+        amps = amplitudes(phases[i:i + 1])[0]
+        if seen and np.max(np.abs(np.array(seen) @ amps)) >= 1.0 - reconstruct.OVERLAP_DEDUPE:
+            continue
+        seen.append(np.conj(amps))
+        out.append((amps, float(rms[i]), tuple(phases[i].tolist())))
+    out.sort(key=lambda e: tuple(round(p % reconstruct.TWO_PI, 9) for p in e[2]))
+    return out
+
+
+@pytest.mark.parametrize("first_is_better", [True, False])
+def test_rank_solutions_keeps_the_better_of_two_duplicates(first_is_better):
+    # rows 0 and 2 are one state: 1e-9 rad apart, and row 2 is shifted by the
+    # global phase pi/2 the zero-sum gauge allows
+    phases = np.array([[0.3, -0.2, 1.1, -1.2],
+                       [1.0, 0.5, -0.4, -1.1],
+                       [0.3 + math.pi / 2 + 1e-9, -0.2 + math.pi / 2, 1.1 + math.pi / 2,
+                        -1.2 + math.pi / 2],
+                       [-2.0, 0.1, 0.9, 1.0]])
+    rms = np.array([1e-7, 2e-7, 3e-7, 4e-7])
+    if not first_is_better:
+        rms[[0, 2]] = rms[[2, 0]]
+    ranked = reconstruct._rank_solutions(phases, rms, 0.0, ququart_rows)
+    survivor = 0 if first_is_better else 2
+    # canonical order: smallest phases modulo 2 pi first
+    order = sorted([survivor, 1, 3], key=lambda i: tuple(np.mod(phases[i], 2 * math.pi)))
+    assert [e[2] for e in ranked] == [tuple(phases[i]) for i in order]
+    assert [e[1] for e in ranked] == [rms[i] for i in order]
+    assert np.array_equal(np.array([e[0] for e in ranked]), ququart_rows(phases[order]))
+    want = reference_rank(phases, rms, 0.0, ququart_rows)
+    assert [e[1:] for e in ranked] == [e[1:] for e in want]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_solutions_matches_the_row_by_row_loop(seed):
+    local = np.random.default_rng(seed)
+    phases = local.uniform(-math.pi, math.pi, size=(24, 4))
+    # planted duplicates: near copies and copies shifted by the global phase
+    # i^k, some with tied residuals
+    copies = local.integers(0, 12, size=12)
+    phases[12:] = (phases[copies] + local.integers(0, 4, size=(12, 1)) * math.pi / 2
+                   + local.normal(scale=1e-6, size=(12, 4)))
+    rms = local.choice([1e-9, 2e-9, 5e-7, 2e-6], size=24)
+    noise = float(local.choice([0.0, 1e-7]))
+    got = reconstruct._rank_solutions(phases, rms, noise, ququart_rows)
+    want = reference_rank(phases, rms, noise, ququart_rows)
+    assert len(got) < np.count_nonzero(rms <= 1e-6 + 10 * noise)
+    assert [e[1:] for e in got] == [e[1:] for e in want]
+    assert all(np.array_equal(g[0], w[0]) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
 # real-coefficient shortcuts
 
 def test_qutrit_shortcut_examples():
