@@ -30,15 +30,32 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _emit(o, out):
-    # the exact types a result document is made of come first; every other
-    # type takes the isinstance chain below
-    t = type(o)
-    if t is float:
+    # an exact float first, then the containers: a result document is made
+    # of them, and no type is both a container and a scalar, so the order
+    # decides nothing else
+    if type(o) is float:
         out.append(format_float(o))
-    elif t is dict:
-        _emit_object(o, out)
-    elif t is list or t is tuple:
-        _emit_array(o, out)
+    elif isinstance(o, dict):
+        out.append("{")
+        first = True
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            if not first:
+                out.append(",")
+            first = False
+            out.append(_encode_str(key))
+            out.append(":")
+            _emit(o[key], out)
+        out.append("}")
+    elif isinstance(o, (list, tuple, np.ndarray)):
+        seq = o.tolist() if isinstance(o, np.ndarray) else o
+        out.append("[")
+        for i, item in enumerate(seq):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
     elif isinstance(o, str):
         out.append(_encode_str(o))
     elif isinstance(o, bool):
@@ -50,37 +67,9 @@ def _emit(o, out):
     elif isinstance(o, (float, np.floating)):
         out.append(format_float(o))
     elif isinstance(o, (complex, np.complexfloating)):
-        _emit_object({"re": float(o.real), "im": float(o.imag)}, out)
-    elif isinstance(o, dict):
-        _emit_object(o, out)
-    elif isinstance(o, (list, tuple, np.ndarray)):
-        _emit_array(o.tolist() if isinstance(o, np.ndarray) else o, out)
+        _emit({"re": float(o.real), "im": float(o.imag)}, out)
     else:
         raise TypeError(f"cannot serialize {type(o).__name__}")
-
-
-def _emit_object(o, out):
-    out.append("{")
-    first = True
-    for key in sorted(o):
-        if not isinstance(key, str):
-            raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        if not first:
-            out.append(",")
-        first = False
-        out.append(_encode_str(key))
-        out.append(":")
-        _emit(o[key], out)
-    out.append("}")
-
-
-def _emit_array(seq, out):
-    out.append("[")
-    for i, item in enumerate(seq):
-        if i:
-            out.append(",")
-        _emit(item, out)
-    out.append("]")
 
 
 def dumps(obj):
