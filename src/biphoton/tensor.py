@@ -139,7 +139,7 @@ def vn_entropy(eigvals, clip=1e-12):
     # summed in order from 0.0, as numpy sums fewer than eight terms; each
     # log2 is numpy's (math.log2 differs in the last bit for some doubles),
     # taken once per run of equal values
-    acc, prev, log = 0.0, None, 0.0
+    acc, prev = 0.0, None
     for x in lam:
         if x > 0.0:
             x = min(x, 1.0)
@@ -147,7 +147,7 @@ def vn_entropy(eigvals, clip=1e-12):
                 prev, log = x, float(np.log2(x))
             acc += x * log
     # adding +0.0 turns the -0.0 of a pure state into 0.0 and nothing else
-    return float(-acc) + 0.0
+    return -acc + 0.0
 
 
 def takagi(m):
