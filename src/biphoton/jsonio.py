@@ -36,14 +36,14 @@ def _emit(o, out):
     if type(o) is float:
         out.append(format_float(o))
     elif isinstance(o, dict):
-        out.append("{")
-        first = True
-        for key in sorted(o):
+        # every key before sorting, which fails on mixed types
+        for key in o:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if not first:
+        out.append("{")
+        for i, key in enumerate(sorted(o)):
+            if i:
                 out.append(",")
-            first = False
             out.append(_encode_str(key))
             out.append(":")
             _emit(o[key], out)

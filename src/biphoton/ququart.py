@@ -33,6 +33,7 @@ from .tensor import (
 )
 from .qutrit import (
     ORACLE_TOL,
+    U45,
     _check_norm,
     _check_terms,
     _decomposition,
@@ -335,16 +336,10 @@ def two_qubit_model(s):
     return TwoQubitModelReport(schmidt_k=k2qb, concurrence=c2qb, reduced=rho)
 
 
-# 45-degree polarizer-frame transform on (C1, C2, C3, C4); orthogonal, not
-# an involution (the inverse is the transpose)
-_ROT45 = 0.5 * np.array(
-    [
-        [1.0, 1.0, 1.0, 1.0],
-        [-1.0, 1.0, -1.0, 1.0],
-        [-1.0, -1.0, 1.0, 1.0],
-        [1.0, -1.0, -1.0, 1.0],
-    ]
-)
+# 45-degree polarizer-frame transform on (C1, C2, C3, C4): each photon turns
+# by U45/sqrt(2).  Orthogonal, not an involution (the inverse is the
+# transpose)
+_ROT45 = np.kron(U45, U45) / 2.0
 
 
 def rotate_basis_45(s):

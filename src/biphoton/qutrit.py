@@ -409,8 +409,17 @@ def polarization(q):
     return PolarizationReport(xi=tuple(float(x) + 0.0 for x in xi), degree_p=p)
 
 
+# the 45-degree polarizer frame as an integer matrix on one photon's (H, V):
+# each photon turns by U45/sqrt(2).  The rotated-frame phase equations of
+# both kinds are derived from it, and ququart._ROT45 is its Kronecker square
+U45 = np.array([[1.0, 1.0], [-1.0, 1.0]])
+
+
 def _rotation_matrix(alpha):
-    # action of a polarizer-frame rotation by alpha on (C1, C2, C3)
+    # action of a polarizer-frame rotation by alpha on (C1, C2, C3).  It stays
+    # the qutrit's 45-degree forward model rather than U45's symmetric square:
+    # at pi/4 its cos/sin products leave 2.2e-16 where that square has 0, and
+    # those bits set the printed coincidence/1 counts
     c, s = math.cos(alpha), math.sin(alpha)
     cs = SQRT2 * c * s
     return np.array(

@@ -3,7 +3,9 @@
 Coincidence counting behind polarizers fixes the amplitude magnitudes but
 says nothing about phases.  Repeating the measurement in the 45-degree
 polarizer frame adds interference information: the rotated magnitudes obey
-a small set of cosine equations in the original phases.  This module turns
+a small set of cosine equations in the original phases.  The equations of
+both kinds are derived at import from one matrix, qutrit.U45: each photon
+turns by U45/sqrt(2).  This module turns
 a (natural, rotated45) record pair into magnitude estimates and solves those
 equations for the phases.  Closed forms give every candidate root: +-acos
 branches, and for a ququart the 8 roots of a degree-4 trigonometric
@@ -42,15 +44,15 @@ returned, the canonical one first (lexicographically smallest phases modulo
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .jsonio import complex_to_json
 from .measurement import BASES, KINDS, NOISE_MODES
-from .qutrit import QutritState
+from .qutrit import SQRT2, U45, QutritState
 from .ququart import QuquartState
 
-SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
 
 # no solution below this root-mean-square mismatch means the record pair is
@@ -239,6 +241,8 @@ def qutrit_phase_equations(m, m45, phi1, phi3):
 
     Returns the two left-minus-right mismatches; both vanish at any phase
     assignment consistent with the data.  Accepts scalar or array phases.
+    The solver fits the same equations, derived from the 45-degree frame
+    qutrit.U45; the printed residual is computed here.
     """
     m1, m2, m3 = m
     n1, n2, n3 = m45
@@ -258,7 +262,9 @@ def ququart_phase_equations(m, m45, phases):
         |C1||C4| cos(p1-p4) + |C2||C3| cos(p2-p3) = |C1(45)|^2 + |C4(45)|^2 - 1/2
 
     phases is a sequence (p1, p2, p3, p4) of scalars or broadcastable arrays;
-    only differences enter, so the overall phase is pure gauge.
+    only differences enter, so the overall phase is pure gauge.  The solver
+    fits the same equations, derived from the 45-degree frame qutrit.U45;
+    the printed residual is computed here.
     """
     m1, m2, m3, m4 = m
     n1, n2, n3, n4 = m45
@@ -270,19 +276,12 @@ def ququart_phase_equations(m, m45, phases):
 
 
 def _rms(eqs):
-    acc = None
-    for e in eqs:
-        acc = e * e if acc is None else acc + e * e
-    return np.sqrt(acc / len(eqs))
+    return np.sqrt(sum(e * e for e in eqs) / len(eqs))
 
 
 # ---------------------------------------------------------------------------
 # closed-form candidates, polished on the full equations
 # ---------------------------------------------------------------------------
-
-# the amplitude pairs of ququart_phase_equations, two per equation
-_QUQUART_PAIRS = ((0, 2), (1, 3), (0, 1), (2, 3), (0, 3), (1, 2))
-_PAIR_A, _PAIR_B = np.array(_QUQUART_PAIRS).T
 
 # the polish stops once no step moves a phase by STEP_TOL radians, and after
 # POLISH_STEPS at the latest; at a double root (real amplitudes) a step only
@@ -302,7 +301,8 @@ def _acos(x):
 def _cosine_system(coef, forms, eq, rhs, basis):
     """Residuals and Jacobian of a system of cosine equations, as one function.
 
-    Equation e reads sum of coef[t] cos(forms[t] . phases) over the terms t
+    Both kinds' systems come from _frame_terms, whose equations are derived
+    from the 45-degree frame U45.  Equation e reads sum of coef[t] cos(forms[t] . phases) over the terms t
     with eq[t] = e, minus rhs[e], and the phases are x @ basis.  The returned
     function maps free parameters x of shape (k, d) to the residuals (k, e)
     and the Jacobian (k, e, d), both from one cosine and one sine of the
@@ -323,24 +323,61 @@ def _cosine_system(coef, forms, eq, rhs, basis):
     return fun
 
 
-# each cosine of the equations as a linear form in the phases, and the
-# equation it belongs to: qutrit phi1 - phi3 (e1), phi1 and phi3 (e2);
-# ququart p_a - p_b for the pairs above
-_QUTRIT_FORMS, _QUTRIT_EQ = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), (0, 1, 1)
-_QUQUART_FORMS, _QUQUART_EQ = np.eye(4)[_PAIR_A] - np.eye(4)[_PAIR_B], (0, 0, 1, 1, 2, 2)
+def _frame(entries, combos, phases):
+    """The cosine terms of one kind's equations, derived from U45.
+
+    entries names the amplitude on each entry (HH, HV, VH, VV) of the 2x2
+    amplitude matrix.  An amplitude filling f entries sits on each at scale
+    sqrt(f)/f, so the qutrit's C2 fills both off-diagonal ones at sqrt(2)/2.
+    Each photon turns by U45/sqrt(2), so the rotated entries are
+    kron(U45, U45)/2 times the scaled amplitudes mu.  Equation e weighs the
+    squared rotated magnitudes by combos[e]; spread over the entries, its
+    left side is the sum of Q[e, j, k] mu_j mu_k cos(phi_j - phi_k) over all
+    j, k, with every Q a multiple of 1/4.  Each pair j < k with Q != 0
+    becomes a term of weight 2 Q, in order of equation and pair.  Its form
+    keeps the columns of the unknown phases (phases) and enters a single
+    phase with a + sign, as the public equations write it.  The squares move
+    to the right-hand side as diag . m^2, or as the constant const where a
+    row weighs every |C_j|^2 alike, since the magnitudes have unit squared
+    sum.  equation maps each pair (j, k) to the equation of its term.
+    """
+    eye = np.eye(len(combos[0]), dtype=int)
+    embed = eye[list(entries)]
+    fills = embed.sum(axis=0)
+    rot = np.kron(U45, U45) @ embed
+    q = np.einsum("ep,pj,pk->ejk", combos @ embed.T, rot, rot) / 4.0
+    eq, j, k = np.nonzero(np.triu(q, 1))
+    forms = (eye[j] - eye[k])[:, phases]
+    forms[forms.sum(axis=1) < 0] *= -1
+    diag = np.diagonal(q, axis1=1, axis2=2) / fills
+    const = np.where((diag == diag[:, :1]).all(axis=1), diag[:, 0], 0.0)
+    return SimpleNamespace(scale=np.sqrt(fills) / fills, w=2.0 * q[eq, j, k], j=j, k=k, eq=eq,
+                           forms=forms.astype(float), combos=combos, const=const,
+                           diag=diag - const[:, None], equation=dict(zip(zip(j, k), eq)))
 
 
-def _qutrit_terms(m, n):
-    """qutrit_phase_equations as the (coef, forms, eq, rhs) of _cosine_system."""
-    m1, m2, m3 = m
-    n1, n2, n3 = n
-    return (np.array([-m1 * m3, SQRT2 * m2 * m1, SQRT2 * m2 * m3]), _QUTRIT_FORMS, _QUTRIT_EQ,
-            np.array([n2 * n2 - 0.5 * (m1 * m1 + m3 * m3), n1 * n1 - n3 * n3]))
+# the qutrit weighs |C2(45)|^2 and |C1(45)|^2 - |C3(45)|^2, and C2 is real by
+# gauge, so its phase column is dropped; the ququart weighs
+# |C1(45)|^2 + |Ck(45)|^2 for k = 2, 3, 4
+_FRAMES = {
+    "qutrit": _frame((0, 1, 1, 2), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]), [0, 2]),
+    "ququart": _frame((0, 1, 2, 3), np.eye(4)[0] + np.eye(4)[1:], [0, 1, 2, 3]),
+}
 
 
-def _ququart_terms(m, n):
-    """ququart_phase_equations as the (coef, forms, eq, rhs) of _cosine_system."""
-    return m[_PAIR_A] * m[_PAIR_B], _QUQUART_FORMS, _QUQUART_EQ, n[0] ** 2 + n[1:] ** 2 - 0.5
+def _frame_terms(kind, m, n):
+    """The equations of a kind as the (coef, forms, eq, rhs) of _cosine_system.
+
+    Every weight is an integer or a half, no sum has more than two nonzero
+    terms, and (sqrt(2)/2) |C2| is exactly half of sqrt(2) |C2|.  So coef
+    and rhs round as the hand-written products and sums do, such as
+    sqrt(2) |C2||C1| or |C1(45)|^2 + |C2(45)|^2 - 1/2, whatever order the
+    matrix products sum in.
+    """
+    f = _FRAMES[kind]
+    mu = m * f.scale
+    return (f.w * (mu[f.j] * mu[f.k]), f.forms, f.eq,
+            f.combos @ (n * n) - (f.diag @ (m * m) + f.const))
 
 
 def _polish(fun, x):
@@ -458,33 +495,31 @@ def _solve(est, basis, x0, terms, equations, amplitudes, gauge, warnings):
 # qutrit phases
 # ---------------------------------------------------------------------------
 
-def _qutrit_candidates(m, n, free):
+def _qutrit_candidates(m, coef, rhs, free):
     """Every root of the qutrit equations in closed form; rows hold the free phases.
 
-    With both outer phases free, e1 fixes delta = phi1 - phi3 up to sign and
-    e2 becomes |z| cos(phi3 + arg z) = (|C1(45)|^2 - |C3(45)|^2) / (sqrt(2) |C2|)
-    with z = |C3| + |C1| e^{i delta}.  With one pinned to 0, both equations
-    are linear in the cosine of the free phase.  Noise is clipped into range.
+    coef and rhs are those of _frame_terms: e1's term, then e2's terms of
+    phi1 and of phi3.  With both outer phases free, e1 fixes
+    delta = phi1 - phi3 up to sign and e2 becomes
+    |z| cos(phi3 + arg z) = (|C1(45)|^2 - |C3(45)|^2) / (sqrt(2) |C2|) with
+    z = |C3| + |C1| e^{i delta}.  With one pinned to 0, both equations are
+    linear in the cosine of the free phase.  Noise is clipped into range.
     """
     m1, m2, m3 = m
-    n1, n2, n3 = n
-    k1 = 0.5 * (m1 * m1 + m3 * m3) - n2 * n2
-    r45 = n1 * n1 - n3 * n3
     if not free:
         return np.zeros((1, 0))
     if len(free) == 2:
         out = []
-        for delta in np.array([1.0, -1.0]) * _acos(k1 / (m1 * m3)):
+        for delta in np.array([1.0, -1.0]) * _acos(rhs[0] / coef[0]):
             z = m3 + m1 * np.exp(1j * delta)
-            beta = _acos(r45 / (SQRT2 * m2 * max(abs(z), 1e-300)))
+            beta = _acos(rhs[1] / (SQRT2 * m2 * max(abs(z), 1e-300)))
             out += [(phi3 + delta, phi3) for phi3 in (beta - np.angle(z), -beta - np.angle(z))]
         return np.array(out)
-    # e1 = k1 - m1 m3 cos x and e2 = sqrt(2) m2 (m_free cos x + m_pinned) - r45;
-    # take the least-squares cos x
-    m_free, m_pinned = (m1, m3) if free == [0] else (m3, m1)
-    coef = np.array([-m1 * m3, SQRT2 * m2 * m_free])
-    rhs = np.array([-k1, r45 - SQRT2 * m2 * m_pinned])
-    return np.array([[1.0], [-1.0]]) * _acos(coef @ rhs / (coef @ coef))
+    # e1 = coef[0] cos x - rhs[0] and e2 = coef[t] cos x + coef[3 - t] - rhs[1]
+    # for the free phase's term t; take the least-squares cos x
+    t = 1 + free[0]
+    a, b = coef[[0, t]], np.array([rhs[0], rhs[1] - coef[3 - t]])
+    return np.array([[1.0], [-1.0]]) * _acos(a @ b / (a @ a))
 
 
 def qutrit_phases(est):
@@ -501,6 +536,7 @@ def qutrit_phases(est):
     rides on the exception.
     """
     m, n, zero = _prepare(est, "qutrit")
+    coef, forms, eq, rhs = terms = _frame_terms("qutrit", m, n)
 
     def equations(phi):
         return qutrit_phase_equations(m, n, *phi)
@@ -515,9 +551,9 @@ def qutrit_phases(est):
         # no interference term: only cos(phi1 - phi3) is fixed, sign and all.
         # The fit drops C2's terms, as fitting e2 would fit noise against the
         # arbitrary tie phi1 + phi3 = 0
-        psi = float(_acos((0.5 * (m[0] ** 2 + m[2] ** 2) - n[1] ** 2) / (m[0] * m[2])))
+        psi = float(_acos(rhs[0] / coef[0]))
         result = _solve(est, np.array([[1.0, -1.0]]), [[psi / 2.0], [-psi / 2.0]],
-                        _qutrit_terms(m * [1.0, 0.0, 1.0], n), equations, amplitudes,
+                        (coef * [1.0, 0.0, 0.0], forms, eq, rhs), equations, amplitudes,
                         "phi3 = -phi1 (C2 below threshold)",
                         ["interference amplitude below threshold: only the relative phase "
                          "phi1 - phi3 is observable, up to sign"])
@@ -529,7 +565,7 @@ def qutrit_phases(est):
     a1 = (not zero[0]) and (not zero[1] or not zero[2])
     a3 = (not zero[2]) and (not zero[1] or not zero[0])
     free = [slot for slot, act in ((0, a1), (1, a3)) if act]
-    return _solve(est, np.eye(2)[free], _qutrit_candidates(m, n, free), _qutrit_terms(m, n),
+    return _solve(est, np.eye(2)[free], _qutrit_candidates(m, coef, rhs, free), terms,
                   equations, amplitudes, "phi2 = 0 (C2 real non-negative)",
                   _pinned_warning(zero))
 
@@ -582,7 +618,7 @@ def _curve_roots(m, rhs):
     return (t, d) if free == 0 else (d, t)
 
 
-def _ququart_candidates(m, n, active):
+def _ququart_candidates(m, rhs, active):
     """Starting phases from closed forms; rows hold the phases of active[:-1].
 
     All four present: the 16 points (u, v) from _curve_roots (8 polynomial
@@ -592,8 +628,8 @@ def _ququart_candidates(m, n, active):
     Otherwise each phase difference to the first present amplitude is +-acos
     from the one equation where the two share a term, ignoring the terms of
     pinned amplitudes, or 0 or pi; noisy records can leave those terms large.
+    rhs is that of _frame_terms.
     """
-    rhs = n[0] ** 2 + n[1:] ** 2 - 0.5
     if len(active) == 4:
         u, v = _curve_roots(m, rhs)
         u = np.concatenate([u, [0.0, 0.0, math.pi, math.pi]])
@@ -609,7 +645,7 @@ def _ququart_candidates(m, n, active):
         p1 = 0.25 * (u + v + 2.0 * w)
         return np.stack([p1, p1 - u, p1 - w], axis=-1)
     lead, rest = active[0], active[1:]
-    span = [float(_acos(rhs[_QUQUART_PAIRS.index((lead, j)) // 2] / (m[lead] * m[j])))
+    span = [float(_acos(rhs[_FRAMES["ququart"].equation[lead, j]] / (m[lead] * m[j])))
             for j in rest]
     phases = np.zeros((4 ** len(rest), 4))
     phases[:, rest] = list(itertools.product(*((s, -s, 0.0, math.pi) for s in span)))
@@ -628,6 +664,7 @@ def ququart_phases(est):
     there as well.
     """
     m, n, zero = _prepare(est, "ququart")
+    terms = _frame_terms("ququart", m, n)
     active = [i for i in range(4) if not zero[i]]
 
     names = "+".join(f"phi{i + 1}" for i in active)
@@ -636,7 +673,7 @@ def ququart_phases(est):
     # the first len(active) - 1 present phases are free, the last one
     # balances the sum to zero
     basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
-    result = _solve(est, basis, _ququart_candidates(m, n, active), _ququart_terms(m, n),
+    result = _solve(est, basis, _ququart_candidates(m, terms[3], active), terms,
                     lambda p: ququart_phase_equations(m, n, p),
                     lambda p: m * np.exp(1j * p), gauge,
                     _pinned_warning(zero))
@@ -704,7 +741,7 @@ def ququart_real_shortcut(est):
     quantifiers of the clipped value.  Returns (K, C_I).
     """
     m, n, _ = _prepare(est, "ququart")
-    cross = n[0] ** 2 + n[3] ** 2 - 0.5
+    cross = _frame_terms("ququart", m, n)[3][_FRAMES["ququart"].equation[0, 3]]
     d = 2.0 * (m[0] ** 2 * m[3] ** 2 + m[1] ** 2 * m[2] ** 2) - cross * cross
     d_clip = min(0.25, max(0.0, d))
     k = 2.0 / (1.0 - 2.0 * d_clip)

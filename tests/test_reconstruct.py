@@ -662,10 +662,11 @@ def test_phase_jacobians_match_central_differences():
     # equation helpers, with all phases free and with a pinned amplitude
     gen = np.random.default_rng(12)
     kinds = (
-        (3, reconstruct._qutrit_terms,
+        (3, lambda m, n: reconstruct._frame_terms("qutrit", m, n),
          lambda m, n, p: reconstruct.qutrit_phase_equations(m, n, *p),
          (np.eye(2), np.eye(2)[[0]])),
-        (4, reconstruct._ququart_terms, reconstruct.ququart_phase_equations,
+        (4, lambda m, n: reconstruct._frame_terms("ququart", m, n),
+         reconstruct.ququart_phase_equations,
          (np.eye(4), np.eye(4)[[0, 1]] - np.eye(4)[3])),
     )
     for _ in range(20):
@@ -682,6 +683,93 @@ def test_phase_jacobians_match_central_differences():
                 r, jac = reconstruct._cosine_system(*terms(md, nd), basis)(y[None])
                 assert np.max(np.abs(r[0] - public(y))) <= 1e-15
                 assert np.max(np.abs(jac[0] - central_jacobian(public, y))) <= 1e-8
+
+
+# the hand-derived term builders that the frame table replaced, as they were,
+# except for one square: they took |C1(45)|^2 as n[0] ** 2, a numpy scalar
+# power that goes through the C library's pow, which rounds about one square
+# in 1,200 away from the correctly rounded product that the public equations
+# and every other square use
+_QUTRIT_FORMS, _QUTRIT_EQ = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), (0, 1, 1)
+_QUQUART_PAIRS = ((0, 2), (1, 3), (0, 1), (2, 3), (0, 3), (1, 2))
+_PAIR_A, _PAIR_B = np.array(_QUQUART_PAIRS).T
+_QUQUART_FORMS, _QUQUART_EQ = np.eye(4)[_PAIR_A] - np.eye(4)[_PAIR_B], (0, 0, 1, 1, 2, 2)
+
+
+def hand_qutrit_terms(m, n):
+    m1, m2, m3 = m
+    n1, n2, n3 = n
+    return (np.array([-m1 * m3, SQRT2 * m2 * m1, SQRT2 * m2 * m3]), _QUTRIT_FORMS, _QUTRIT_EQ,
+            np.array([n2 * n2 - 0.5 * (m1 * m1 + m3 * m3), n1 * n1 - n3 * n3]))
+
+
+def hand_ququart_terms(m, n):
+    return (m[_PAIR_A] * m[_PAIR_B], _QUQUART_FORMS, _QUQUART_EQ,
+            n[0] * n[0] + n[1:] ** 2 - 0.5)
+
+
+def unit_magnitudes(gen, dim, family):
+    x = np.abs(gen.normal(size=dim))
+    if family == "zero":
+        # C2 for a qutrit, any one amplitude for a ququart
+        x[1 if dim == 3 else gen.integers(dim)] = 0.0
+    elif family == "tiny":
+        x *= 10.0 ** gen.uniform(-6.0, 0.0, size=dim)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("kind, dim, hand", [("qutrit", 3, hand_qutrit_terms),
+                                             ("ququart", 4, hand_ququart_terms)])
+def test_frame_terms_equal_the_hand_formulas_bit_for_bit(kind, dim, hand):
+    gen = np.random.default_rng(13)
+    families = ["generic"] * 2000 + ["zero"] * 200 + ["tiny"] * 200
+    for family in families:
+        m, n = unit_magnitudes(gen, dim, family), unit_magnitudes(gen, dim, family)
+        inputs = [(m, n)]
+        if kind == "qutrit":
+            # the C2-below-threshold branch drops C2's terms
+            inputs.append((m * [1.0, 0.0, 1.0], n))
+        for mm, nn in inputs:
+            coef, forms, eq, rhs = reconstruct._frame_terms(kind, mm, nn)
+            want = hand(mm, nn)
+            assert np.array_equal(coef, want[0])
+            assert np.array_equal(forms, want[1])
+            assert tuple(eq) == want[2]
+            assert np.array_equal(rhs, want[3])
+            # the same zeros too, so cosines and sines see the same angles
+            assert np.array_equal(np.signbit(coef), np.signbit(want[0]))
+            assert np.array_equal(np.signbit(forms), np.signbit(want[1]))
+    old_rot45 = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                                [-1.0, -1.0, 1.0, 1.0], [1.0, -1.0, -1.0, 1.0]])
+    rot45 = np.kron(qutrit.U45, qutrit.U45) / 2
+    assert np.array_equal(rot45, old_rot45)
+    assert np.array_equal(np.signbit(rot45), np.signbit(old_rot45))
+    assert np.array_equal(ququart._ROT45, old_rot45)
+
+
+@pytest.mark.parametrize("kind, make", [("qutrit", qutrit.QutritState),
+                                        ("ququart", ququart.QuquartState)])
+def test_forward_frame_and_derived_equations_agree(kind, make):
+    # ideal records from the forward models (qutrit._rotation_matrix(pi/4),
+    # ququart._ROT45) fit the equations derived from U45 at the true phases
+    gen = np.random.default_rng(17)
+    dim = 3 if kind == "qutrit" else 4
+    worst = 0.0
+    for _ in range(200):
+        c = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        c /= np.linalg.norm(c)
+        est = ideal_estimate(make(*c))
+        phases = np.angle(c)
+        if kind == "qutrit":
+            # the C2-real gauge
+            x, basis = phases[[0, 2]] - phases[1], np.eye(2)
+        else:
+            # the zero-sum gauge
+            x, basis = (phases - phases.mean())[:3], np.eye(4)[:3] - np.eye(4)[3]
+        terms = reconstruct._frame_terms(kind, est.magnitudes, est.magnitudes45)
+        r, _ = reconstruct._cosine_system(*terms, basis)(x[None])
+        worst = max(worst, float(np.max(np.abs(r))))
+    assert worst <= 1e-14
 
 
 def real_states(n, dim, seed):
