@@ -412,7 +412,7 @@ def polarization(q):
 # the 45-degree polarizer frame as an integer matrix on one photon's (H, V):
 # each photon turns by U45/sqrt(2).  The rotated-frame phase equations of
 # both kinds are derived from it, and ququart._ROT45 is its Kronecker square
-U45 = np.array([[1.0, 1.0], [-1.0, 1.0]])
+U45 = np.array([[1, 1], [-1, 1]])
 
 
 def _rotation_matrix(alpha):

@@ -302,8 +302,9 @@ def _cosine_system(coef, forms, eq, rhs, basis):
     """Residuals and Jacobian of a system of cosine equations, as one function.
 
     Both kinds' systems come from _frame_terms, whose equations are derived
-    from the 45-degree frame U45.  Equation e reads sum of coef[t] cos(forms[t] . phases) over the terms t
-    with eq[t] = e, minus rhs[e], and the phases are x @ basis.  The returned
+    from the 45-degree frame U45.  Equation e reads sum of
+    coef[t] cos(forms[t] . phases) over the terms t with eq[t] = e, minus
+    rhs[e], and the phases are x @ basis.  The returned
     function maps free parameters x of shape (k, d) to the residuals (k, e)
     and the Jacobian (k, e, d), both from one cosine and one sine of the
     term angles.  The Jacobian's forms are multiplied through the basis
@@ -345,14 +346,14 @@ def _frame(entries, combos, phases):
     embed = eye[list(entries)]
     fills = embed.sum(axis=0)
     rot = np.kron(U45, U45) @ embed
-    q = np.einsum("ep,pj,pk->ejk", combos @ embed.T, rot, rot) / 4.0
+    q = rot.T @ ((combos @ embed.T)[:, :, None] * rot) / 4.0
     eq, j, k = np.nonzero(np.triu(q, 1))
     forms = (eye[j] - eye[k])[:, phases]
     forms[forms.sum(axis=1) < 0] *= -1
     diag = np.diagonal(q, axis1=1, axis2=2) / fills
     const = np.where((diag == diag[:, :1]).all(axis=1), diag[:, 0], 0.0)
     return SimpleNamespace(scale=np.sqrt(fills) / fills, w=2.0 * q[eq, j, k], j=j, k=k, eq=eq,
-                           forms=forms.astype(float), combos=combos, const=const,
+                           forms=forms.astype(float), combos=combos.astype(float), const=const,
                            diag=diag - const[:, None], equation=dict(zip(zip(j, k), eq)))
 
 
@@ -360,8 +361,8 @@ def _frame(entries, combos, phases):
 # gauge, so its phase column is dropped; the ququart weighs
 # |C1(45)|^2 + |Ck(45)|^2 for k = 2, 3, 4
 _FRAMES = {
-    "qutrit": _frame((0, 1, 1, 2), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]), [0, 2]),
-    "ququart": _frame((0, 1, 2, 3), np.eye(4)[0] + np.eye(4)[1:], [0, 1, 2, 3]),
+    "qutrit": _frame((0, 1, 1, 2), np.array([[0, 1, 0], [1, 0, -1]]), [0, 2]),
+    "ququart": _frame((0, 1, 2, 3), np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]]), range(4)),
 }
 
 

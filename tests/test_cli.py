@@ -367,22 +367,23 @@ def test_simulate_seed_env_fallback(capsys, monkeypatch):
 
 # stdout SHA-256 of `coincidence/1` records of the README qutrit and the CI
 # ququart, in both frames, ideal and sampled
+_SEED_1 = ("--noise", "sampled", "--seed", "1")
 _SIMULATE_SHA256 = [
     ("[[0.5,0],[0.5,0.5],[0.5,0]]", "natural", (),
      "bdcdc4039b09e03f17b9eacd60e4ca22ef354db6c9eaad0c349419dae5f3d9ea"),
-    ("[[0.5,0],[0.5,0.5],[0.5,0]]", "natural", ("--noise", "sampled", "--seed", "1"),
+    ("[[0.5,0],[0.5,0.5],[0.5,0]]", "natural", _SEED_1,
      "2b08c85682901d77f97ef716e1f2930ca7675b3c9d57d46d180e79ce4c16c858"),
     ("[[0.5,0],[0.5,0.5],[0.5,0]]", "rotated45", (),
      "ab984e9eb7af92e3a9f68c0b935cdb112b5e6157f1a89276a1e7072bfac1f69c"),
-    ("[[0.5,0],[0.5,0.5],[0.5,0]]", "rotated45", ("--noise", "sampled", "--seed", "1"),
+    ("[[0.5,0],[0.5,0.5],[0.5,0]]", "rotated45", _SEED_1,
      "b9872d5b5db074a3c51070357b2bd3283f56cf92bf2962f2dc78edb493a21bea"),
     ("[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.2,0.45]]", "natural", (),
      "8525a5c7f1e162043660425920646d3777aafc620059aa6e41b7aa0903dc2730"),
-    ("[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.2,0.45]]", "natural", ("--noise", "sampled", "--seed", "1"),
+    ("[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.2,0.45]]", "natural", _SEED_1,
      "9d39edde8175249eabc12813e740589d1fc5053a93cbbbaa6ff9b1311644f267"),
     ("[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.2,0.45]]", "rotated45", (),
      "072ba6a602d844ff921a0448e608010786d4438b430c708b71d5e19477b3161f"),
-    ("[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.2,0.45]]", "rotated45", ("--noise", "sampled", "--seed", "1"),
+    ("[[0.5,0],[0.3,0.4],[0.1,-0.5],[0.2,0.45]]", "rotated45", _SEED_1,
      "8fa5fe69972ef5ff9f3917d47123e17283299501daf17f3afc121f71696db133"),
 ]
 
