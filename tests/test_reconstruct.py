@@ -739,9 +739,14 @@ def test_frame_terms_equal_the_hand_formulas_bit_for_bit(kind, dim, hand):
             # the same zeros too, so cosines and sines see the same angles
             assert np.array_equal(np.signbit(coef), np.signbit(want[0]))
             assert np.array_equal(np.signbit(forms), np.signbit(want[1]))
+
+
+def test_rot45_is_the_kronecker_square_of_u45():
+    # the hand-entered matrix it replaced, bit for bit
     old_rot45 = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
                                 [-1.0, -1.0, 1.0, 1.0], [1.0, -1.0, -1.0, 1.0]])
     rot45 = np.kron(qutrit.U45, qutrit.U45) / 2
+    assert rot45.dtype == old_rot45.dtype
     assert np.array_equal(rot45, old_rot45)
     assert np.array_equal(np.signbit(rot45), np.signbit(old_rot45))
     assert np.array_equal(ququart._ROT45, old_rot45)
