@@ -168,7 +168,8 @@ def test_dumps_fails_as_the_reference_encoder_does(doc):
 
 @pytest.mark.parametrize("doc, error, message", [
     ({1: 2}, TypeError, "JSON object keys must be strings, got 1"),
-    ({"a": [1, {"b": 2, (1,): 3}]}, TypeError, r"JSON object keys must be strings, got \(1,\)"),
+    pytest.param({"a": [1, {"b": 2, (1,): 3}]}, TypeError,
+                 r"JSON object keys must be strings, got \(1,\)", id="doc1-TypeError-mixed keys"),
     ([0.5, math.nan], ValueError, "non-finite number cannot be serialized"),
     ({"x": -math.inf}, ValueError, "non-finite number cannot be serialized"),
     (np.array([math.inf]), ValueError, "non-finite number cannot be serialized"),

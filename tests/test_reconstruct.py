@@ -719,7 +719,8 @@ def unit_magnitudes(gen, dim, family):
 
 
 @pytest.mark.parametrize("kind, dim, hand", [("qutrit", 3, hand_qutrit_terms),
-                                             ("ququart", 4, hand_ququart_terms)])
+                                             ("ququart", 4, hand_ququart_terms)],
+                         ids=["qutrit", "ququart"])
 def test_frame_terms_equal_the_hand_formulas_bit_for_bit(kind, dim, hand):
     gen = np.random.default_rng(13)
     families = ["generic"] * 2000 + ["zero"] * 200 + ["tiny"] * 200
@@ -753,7 +754,8 @@ def test_rot45_is_the_kronecker_square_of_u45():
 
 
 @pytest.mark.parametrize("kind, make", [("qutrit", qutrit.QutritState),
-                                        ("ququart", ququart.QuquartState)])
+                                        ("ququart", ququart.QuquartState)],
+                         ids=["qutrit", "ququart"])
 def test_forward_frame_and_derived_equations_agree(kind, make):
     # ideal records from the forward models (qutrit._rotation_matrix(pi/4),
     # ququart._ROT45) fit the equations derived from U45 at the true phases
