@@ -34,11 +34,12 @@ from .tensor import (
 from .qutrit import (
     ORACLE_TOL,
     U45,
+    _block_purity,
+    _check_close,
     _check_norm,
     _check_terms,
     _decomposition,
     _degree_p,
-    _k_oracle,
     _normalized,
     _partner,
     _spectrum,
@@ -187,6 +188,17 @@ def _pair_determinant(s):
     return s.c1 * s.c4 - s.c2 * s.c3
 
 
+def _reduced_purity(s):
+    # Tr(rho_r^2) with rho_r = M M^dagger of the 4x4 amplitude matrix M, in
+    # Python complex arithmetic.  M couples (Hh, Vh) only to (Hl, Vl), through
+    # A = [[C1, C2], [C3, C4]]/sqrt(2), so rho_r is the direct sum of
+    # A A^dagger and A^T conj(A).  Each block is taken from its own entries
+    # although the two agree in exact arithmetic: twice the first would make
+    # the halving check of two_qubit_model a copy of its purity check.  The
+    # 1/sqrt(2) scale divides each block's purity by exactly 4
+    return (_block_purity(s.c1, s.c2, s.c3, s.c4) + _block_purity(s.c1, s.c3, s.c2, s.c4)) / 4.0
+
+
 def _high_photon_state(s):
     # the high-frequency photon's polarization state, twice the (Hh, Vh)
     # block of reduced_density: its H and V populations and H-V coherence
@@ -207,24 +219,21 @@ def quantify(s):
 
     and the entropy of those four reduced eigenvalues in bits.  K is
     cross-checked at call time against 1/Tr(rho_r^2) with rho_r = M M^dagger
-    built from the 4x4 amplitude matrix M, and against
-    K(P_h) = 4/(1 + P_h^2); neither route passes through D.
+    of the 4x4 amplitude matrix M, and against K(P_h) = 4/(1 + P_h^2);
+    neither route passes through D.  M couples (Hh, Vh) only to (Hl, Vl),
+    through A = [[C1, C2], [C3, C4]]/sqrt(2), so rho_r is the direct sum of
+    A A^dagger and A^T conj(A); each block's purity is written out from its
+    own entries in Python complex arithmetic, with no 4x4 array formed.
     """
     d = abs(_pair_determinant(s)) ** 2
     k = 2.0 / (1.0 - 2.0 * d)
-    k_oracle = _k_oracle(amplitude_matrix(s))
-    if abs(k - k_oracle) > ORACLE_TOL:
-        raise ConsistencyError(
-            f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
-        )
+    _check_close(k, 1.0 / _reduced_purity(s),
+                 "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}")
     # P_h from the high-frequency photon's Stokes vector, ordered as xi
     h, v, x = _high_photon_state(s)
     p = _degree_p((2.0 * x.real, -2.0 * x.imag, h - v))
-    k_from_p = 4.0 / (1.0 + p * p)
-    if abs(k - k_from_p) > ORACLE_TOL:
-        raise ConsistencyError(
-            f"K(D)={k!r} disagrees with K(P_h) = 4/(1 + P_h^2) = {k_from_p!r}"
-        )
+    _check_close(k, 4.0 / (1.0 + p * p),
+                 "K(D)={!r} disagrees with K(P_h) = 4/(1 + P_h^2) = {!r}")
     lam = _spectrum(p, 4)
     return QuquartReport(
         schmidt_k=k,
@@ -313,7 +322,9 @@ def two_qubit_model(s):
     label) gives concurrence 2 |C1 C4 - C2 C3| and Schmidt parameter
     K_2qb = 1/(1 - 2 |C1 C4 - C2 C3|^2), exactly half the full two-qudit K.
     K_2qb = 1/Tr(rho_2qb^2) is verified at call time, and so is the halving
-    relation, against the M M^dagger K of the full ququart.
+    relation, against the M M^dagger K of the full ququart, taken block by
+    block as in quantify.  The two-qubit purity is h^2 + v^2 + 2 |x|^2 from
+    the high-frequency photon's populations h, v and coherence x.
     """
     det = _pair_determinant(s)
     d = abs(det) ** 2
@@ -323,12 +334,9 @@ def two_qubit_model(s):
     h, v, cross = _high_photon_state(s)
     rho = np.array([[h, cross], [cross.conjugate(), v]], dtype=complex)
     # Tr(rho^2) is the squared Frobenius norm of the Hermitian rho
-    k_oracle = 1.0 / np.vdot(rho, rho).real
-    if abs(k2qb - k_oracle) > ORACLE_TOL:
-        raise ConsistencyError(
-            f"two-qubit K={k2qb!r} disagrees with 1/Tr(rho^2)={k_oracle!r}"
-        )
-    k_full = _k_oracle(amplitude_matrix(s))
+    _check_close(k2qb, 1.0 / (h * h + v * v + 2.0 * abs(cross) ** 2),
+                 "two-qubit K={!r} disagrees with 1/Tr(rho^2)={!r}")
+    k_full = 1.0 / _reduced_purity(s)
     if abs(k_full - 2.0 * k2qb) > ORACLE_TOL:
         raise ConsistencyError(
             f"two-qudit K={k_full!r} is not twice the two-qubit K={k2qb!r}"

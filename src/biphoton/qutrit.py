@@ -232,16 +232,15 @@ def quantify(q):
     Closed forms: C = |2 C1 C3 - C2^2|, K = 2/(2 - C^2), reduced eigenvalues
     lambda_+- = (1 +- P)/2 with P the degree of polarization, and their
     entropy in bits.  K is cross-checked at call time against 1/Tr(rho_r^2)
-    with rho_r = M M^dagger built from the 2x2 amplitude matrix M, a route
-    that does not pass through C.
+    with rho_r = M M^dagger of the 2x2 amplitude matrix
+    M = [[C1, C2/sqrt(2)], [C2/sqrt(2), C3]], written out entry by entry in
+    Python complex arithmetic, a route that does not pass through C.
     """
     c = concurrence(q)
     k = 2.0 / (2.0 - c * c)
-    k_oracle = _k_oracle(amplitude_matrix(q))
-    if abs(k - k_oracle) > ORACLE_TOL:
-        raise ConsistencyError(
-            f"closed-form K={k!r} disagrees with 1/Tr(rho_r^2) K={k_oracle!r}"
-        )
+    m01 = q.c2 / SQRT2
+    _check_close(k, 1.0 / _block_purity(q.c1, m01, m01, q.c3),
+                 "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}")
     # lambda_+- = (1 +- P)/2: P = sqrt(1 - C^2) by C^2 + P^2 = 1, but P from
     # the amplitudes stays accurate where sqrt(1 - C^2) loses half the digits
     lam_p, lam_m = _spectrum(_degree_p(_polarization_vector(q)), 2)
@@ -344,12 +343,21 @@ def _partner(u, phase):
     return -phase * u[1].conjugate(), phase * u[0].conjugate()
 
 
+def _check_close(x, y, message):
+    # the call-time check of a closed form x against its independent route
+    # y; message takes both values, and is filled in only on failure
+    if abs(x - y) > ORACLE_TOL:
+        raise ConsistencyError(message.format(x, y))
+
+
 def _check_terms(s1, a, b, s2, c, d, m):
     # the call-time check of a Schmidt decomposition: the two terms
     # s1 a b^T + s2 c d^T, dropped weights included, rebuild the 2x2
     # amplitude block m
-    err = max(abs(s1 * a[i] * b[j] + s2 * c[i] * d[j] - m[i][j])
-              for i in (0, 1) for j in (0, 1))
+    err = max(abs(s1 * a[0] * b[0] + s2 * c[0] * d[0] - m[0][0]),
+              abs(s1 * a[0] * b[1] + s2 * c[0] * d[1] - m[0][1]),
+              abs(s1 * a[1] * b[0] + s2 * c[1] * d[0] - m[1][0]),
+              abs(s1 * a[1] * b[1] + s2 * c[1] * d[1] - m[1][1]))
     if err > ORACLE_TOL:
         raise ConsistencyError(
             f"Schmidt terms rebuild the amplitude matrix only within {err!r}"
@@ -360,7 +368,7 @@ def _decomposition(lambdas, modes):
     # modes are the single-photon mode tuples, one per term, which become
     # the columns of one contiguous array; both photons carry the same mode,
     # so that array serves both; + 0j turns a -0.0 part into 0.0
-    m = np.array(modes, dtype=complex).T.copy()
+    m = np.array(list(zip(*modes)), dtype=complex)
     m += 0j
     return SchmidtDecomposition(lambdas, m, m)
 
@@ -376,12 +384,14 @@ def _degree_p(xi):
     return min(1.0, math.hypot(*xi))
 
 
-def _k_oracle(m):
-    # K = 1/Tr(rho_r^2) with rho_r = M M^dagger from the amplitude matrix M
-    # of either kind, a route through neither C, D nor P; Tr(rho_r^2) is the
-    # squared Frobenius norm of the Hermitian rho_r
-    rho_r = m.dot(m.conj().T)
-    return 1.0 / np.vdot(rho_r, rho_r).real
+def _block_purity(a, b, c, d):
+    # Tr(rho^2) with rho = M M^dagger for the 2x2 block M = [[a, b], [c, d]],
+    # the squared Frobenius norm of the Hermitian rho; the M M^dagger route
+    # behind both kinds' K checks, through neither C, D nor P
+    r00 = abs(a) ** 2 + abs(b) ** 2
+    r11 = abs(c) ** 2 + abs(d) ** 2
+    r01 = a * c.conjugate() + b * d.conjugate()
+    return r00 * r00 + r11 * r11 + 2.0 * abs(r01) ** 2
 
 
 def _spectrum(p, d):

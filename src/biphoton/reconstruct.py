@@ -688,11 +688,11 @@ def ququart_phases(est):
 # real-amplitude shortcuts
 # ---------------------------------------------------------------------------
 
-def _imbalance(singles, mags):
+def _imbalance(singles, m):
     # w_H - w_V from a CoincidenceRecord.single_particle() mapping or, for
-    # None, the magnitudes
+    # None, the magnitudes m
     if singles is None:
-        return float(mags[0] ** 2 + mags[1] ** 2 / 2.0) - float(mags[2] ** 2 + mags[1] ** 2 / 2.0)
+        return float(m[0] * m[0] + m[1] * m[1] / 2.0) - float(m[2] * m[2] + m[1] * m[1] / 2.0)
     return float(singles["H"]) - float(singles["V"])
 
 
@@ -743,7 +743,7 @@ def ququart_real_shortcut(est):
     """
     m, n, _ = _prepare(est, "ququart")
     cross = _frame_terms("ququart", m, n)[3][_FRAMES["ququart"].equation[0, 3]]
-    d = 2.0 * (m[0] ** 2 * m[3] ** 2 + m[1] ** 2 * m[2] ** 2) - cross * cross
+    d = 2.0 * (m[0] * m[0] * (m[3] * m[3]) + m[1] * m[1] * (m[2] * m[2])) - cross * cross
     d_clip = min(0.25, max(0.0, d))
     k = 2.0 / (1.0 - 2.0 * d_clip)
     ci = math.sqrt(1.0 + 2.0 * d_clip)

@@ -1,7 +1,8 @@
 """Each call-time check of a closed form against an independent route still
 runs and fires: it passes a generic state, and raises ConsistencyError on the
 same state once one of its inputs is off by 1e-6.
-Also pins the accuracy of the M M^dagger route behind the K checks."""
+Also pins the accuracy of the M M^dagger route behind the K checks, on random
+and on edge states, and the entry-by-entry Schmidt rebuild check."""
 
 import numpy as np
 import pytest
@@ -68,10 +69,10 @@ def test_two_qubit_purity_check_fires(monkeypatch):
 
 
 def test_two_qubit_halving_check_fires(monkeypatch):
-    # the amplitude matrix feeds the full ququart's M M^dagger K alone, so a
-    # shifted matrix leaves K_2qb and its own purity check untouched
+    # the full ququart's block-by-block purity feeds its M M^dagger K alone,
+    # so a shifted purity leaves K_2qb and its own purity check untouched
     ququart.two_qubit_model(QUQUART)
-    shifted(monkeypatch, ququart, "amplitude_matrix")
+    shifted(monkeypatch, ququart, "_reduced_purity")
     with pytest.raises(ConsistencyError, match="not twice the two-qubit K"):
         ququart.two_qubit_model(QUQUART)
 
@@ -87,17 +88,23 @@ def test_schmidt_rebuild_check_fires(monkeypatch, module, state):
         module.schmidt_decompose(state)
 
 
-def oracle_purities(monkeypatch):
+# the function behind each kind's M M^dagger K: Tr(rho_r^2) of the qutrit's
+# one 2x2 block, and of the ququart's two blocks summed
+ORACLES = {qutrit: "_block_purity", ququart: "_reduced_purity"}
+
+
+def oracle_purities(monkeypatch, module):
     # record Tr(rho_r^2) as the quantify functions compute it
     seen = []
-    vdot = np.vdot
+    oracle = ORACLES[module]
+    original = getattr(module, oracle)
 
-    def spy(a, b):
-        out = vdot(a, b)
-        seen.append(out.real)
+    def spy(*args):
+        out = original(*args)
+        seen.append(out)
         return out
 
-    monkeypatch.setattr(np, "vdot", spy)
+    monkeypatch.setattr(module, oracle, spy)
     return seen
 
 
@@ -106,7 +113,7 @@ def oracle_purities(monkeypatch):
     (ququart, ququart.make_ququart, 4, 4),
 ])
 def test_k_oracle_matches_partial_trace(monkeypatch, module, make, n, d):
-    seen = oracle_purities(monkeypatch)
+    seen = oracle_purities(monkeypatch, module)
     worst = 0.0
     for _ in range(1000):
         state = make(*random_amplitudes(n))
@@ -116,3 +123,68 @@ def test_k_oracle_matches_partial_trace(monkeypatch, module, make, n, d):
         k_dense = tensor.schmidt_number(module.wavefunction(state), d)
         worst = max(worst, abs(1.0 / seen[0] - k_dense))
     assert worst <= 1e-13
+
+
+def edge_amplitudes(n, seed):
+    # amplitude lists for make_qutrit (n = 3) or make_ququart (n = 4): one
+    # and two zero amplitudes at every position, real amplitudes of mixed
+    # signs, and one amplitude scaled down to 1e-1 ... 1e-9
+    edge_rng = np.random.default_rng(seed)
+
+    def draw():
+        return edge_rng.normal(size=n) + 1j * edge_rng.normal(size=n)
+
+    states = []
+    for zeros in [[i] for i in range(n)] + [[i, j] for i in range(n) for j in range(i + 1, n)]:
+        for _ in range(5):
+            amps = draw()
+            amps[zeros] = 0.0
+            states.append(amps)
+    states += [edge_rng.normal(size=n) for _ in range(20)]
+    for e in range(1, 10):
+        for i in range(n):
+            amps = draw()
+            amps[i] *= 10.0 ** -e
+            states.append(amps)
+    return states
+
+
+EDGE_QUTRITS = (
+    [qutrit.make_qutrit(*a) for a in edge_amplitudes(3, 71)]
+    + [qutrit.non_entangled_family(phi, p1, p3)
+       for phi in (0.0, 0.3, np.pi / 2, 2.0, np.pi) for p1, p3 in ((0.0, 0.0), (0.7, -1.9))]
+    + [qutrit.max_entangled_family(phi, p1, p3)
+       for phi in (0.0, 0.3, np.pi / 4, np.pi / 2) for p1, p3 in ((0.0, 0.0), (0.7, -1.9))]
+)
+EDGE_QUQUARTS = (
+    [ququart.make_ququart(*a) for a in edge_amplitudes(4, 72)]
+    + [ququart.make_ququart(*a) for a in ([1, 0, 0, 1], [1, 1, 1, -1], [1, 0, 0, 1e-7])]
+)
+
+
+@pytest.mark.parametrize("module, states, d", [
+    (qutrit, EDGE_QUTRITS, 2),
+    (ququart, EDGE_QUQUARTS, 4),
+], ids=["qutrit", "ququart"])
+def test_k_oracle_matches_partial_trace_on_edge_states(monkeypatch, module, states, d):
+    seen = oracle_purities(monkeypatch, module)
+    for state in states:
+        seen.clear()
+        module.quantify(state)
+        assert len(seen) == 1
+        k_dense = tensor.schmidt_number(module.wavefunction(state), d)
+        assert abs(1.0 / seen[0] - k_dense) <= 1e-13, state
+
+
+# two generic terms s a b^T, the form of a Schmidt term
+TERMS = (0.8, (0.6, 0.8j), (0.28 - 0.96j, 0.0), 0.3, (-0.8j, 0.6), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_schmidt_rebuild_check_fires_on_each_entry(i, j):
+    s1, a, b, s2, c, d = TERMS
+    block = [[s1 * a[r] * b[k] + s2 * c[r] * d[k] for k in (0, 1)] for r in (0, 1)]
+    qutrit._check_terms(s1, a, b, s2, c, d, block)
+    block[i][j] += 1e-9
+    with pytest.raises(ConsistencyError, match="Schmidt terms rebuild"):
+        qutrit._check_terms(s1, a, b, s2, c, d, block)
