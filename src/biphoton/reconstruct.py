@@ -14,9 +14,10 @@ curve one equation draws in two phase differences.  Damped Gauss-Newton
 steps then polish every candidate on the full equations, fitting noisy
 records in the least-squares sense.  Both kinds polish through one kernel
 that returns the residuals and the analytic Jacobian of a cosine system
-from one cosine and one sine per term.  The rows within the keep
-threshold are deduplicated as one amplitude array, and only the solutions
-that get printed are built into states.
+from one cosine and one sine per term.  Each candidate stops on its own
+step and leaves the batch, so it ends as it would polished alone.  The
+rows within the keep threshold are deduplicated as one amplitude array,
+and only the solutions that get printed are built into states.
 
 Phase conventions (gauges):
 
@@ -47,6 +48,9 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+# the stacked gufunc behind np.linalg.solve, called without the wrapper's
+# per-call checks and copies
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .jsonio import complex_to_json
 from .measurement import BASES, KINDS, NOISE_MODES
@@ -283,9 +287,9 @@ def _rms(eqs):
 # closed-form candidates, polished on the full equations
 # ---------------------------------------------------------------------------
 
-# the polish stops once no step moves a phase by STEP_TOL radians, and after
-# POLISH_STEPS at the latest; at a double root (real amplitudes) a step only
-# halves the distance
+# each row of the polish stops once its step moves no phase by STEP_TOL
+# radians, and after POLISH_STEPS at the latest; at a double root (real
+# amplitudes) a step only halves the distance
 STEP_TOL = 1e-12
 POLISH_STEPS = 60
 
@@ -299,27 +303,28 @@ def _acos(x):
 
 
 def _cosine_system(coef, forms, eq, rhs, basis):
-    """Residuals and Jacobian of a system of cosine equations, as one function.
+    """Residuals and Jacobian of a system of cosine equations, as one array.
 
-    Both kinds' systems come from _frame_terms, whose equations are derived
-    from the 45-degree frame U45.  Equation e reads sum of
-    coef[t] cos(forms[t] . phases) over the terms t with eq[t] = e, minus
-    rhs[e], and the phases are x @ basis.  The returned
-    function maps free parameters x of shape (k, d) to the residuals (k, e)
-    and the Jacobian (k, e, d), both from one cosine and one sine of the
-    term angles.  The Jacobian's forms are multiplied through the basis
-    once here; the angles are taken from the phases, so they are those of
-    the public equations bit for bit (at a critical point of e2, where some
-    sines are pure rounding, those bits set the first step).
+    Equation e reads sum of coef[t] cos(forms[t] . phases) over the terms t
+    with eq[t] = e, minus rhs[e], and the phases are x @ basis.  The
+    returned function maps free parameters x (k, d) to [r | J] (k, e, 1 + d),
+    the residuals beside their Jacobian, from one cosine and one sine per
+    term, in one product per row, so that no row's bits depend on its batch.
+    The angles are taken from the phases, so they are those of the public
+    equations bit for bit (at a critical point of e2, where some sines are
+    pure rounding, those bits set the first step).
     """
-    to_eq = coef[:, None] * np.eye(len(rhs))[list(eq)]
-    to_jac = -(to_eq[:, :, None] * (forms @ basis.T)[:, None, :]).reshape(len(coef), -1)
-    to_angle = forms.T
-    shape = (len(rhs), len(basis))
+    to_rj = np.zeros((2, len(coef), len(rhs), 1 + len(basis)))
+    to_rj[0, ..., 0] = coef[:, None] * np.eye(len(rhs))[list(eq)]
+    to_rj[1, ..., 1:] = -to_rj[0, ..., :1] * (forms @ basis.T)[:, None, :]
+    to_rj, to_angle = to_rj.reshape(2 * len(coef), -1), forms.T
+    offset = np.zeros(to_rj.shape[1])
+    offset[::1 + len(basis)] = rhs
 
     def fun(x):
         theta = (x @ basis) @ to_angle
-        return np.cos(theta) @ to_eq - rhs, (np.sin(theta) @ to_jac).reshape(len(x), *shape)
+        rj = np.concatenate([np.cos(theta), np.sin(theta)], axis=1)[:, None] @ to_rj - offset
+        return rj.reshape(len(x), len(rhs), 1 + len(basis))
 
     return fun
 
@@ -384,37 +389,36 @@ def _frame_terms(kind, m, n):
 def _polish(fun, x):
     """Damped Gauss-Newton (Levenberg) steps on a batch of starting points.
 
-    fun maps phases x of shape (k, d) to the residuals (k, e) and their
-    Jacobian (k, e, d).  A step is kept only where it lowers the squared
-    residual; the damping shrinks after a kept step and grows after a
-    rejected one.
+    fun maps phases x (k, d) to [r | J] (k, e, 1 + d); a row carries its
+    phases, its damping and G = [r | J]^T [r | J].  A step is kept where it
+    lowers r.r = G[0, 0]; the damping then shrinks, else it grows.  Each row
+    stops on its own step and leaves the batch, as it would polished alone.
     """
-    x = np.array(x, dtype=float)
-    r, jac = fun(x)
-    cost = np.einsum("ke,ke->k", r, r)
-    damping = np.full(len(x), 1e-3)
-    eye = np.eye(x.shape[1])
+    x = out = np.array(x, dtype=float)
+    live, damping, eye = np.arange(len(x)), np.full(len(x), 1e-3), np.eye(x.shape[1])
+    rj = fun(x)
+    gram = np.ascontiguousarray(rj.transpose(0, 2, 1)) @ rj
     for _ in range(POLISH_STEPS):
-        jt = np.ascontiguousarray(jac.transpose(0, 2, 1))
-        # the damping is relative to the size of J^T J (its trace), and its
-        # floors keep a singular J^T J (a double root, or J = 0) solvable
-        shift = damping * np.einsum("ked,ked->k", jac, jac) + 1e-30
-        step = np.linalg.solve(jt @ jac + shift[:, None, None] * eye, jt @ r[..., None])[..., 0]
-        if np.abs(step).max(initial=0.0) < STEP_TOL:
-            break
-        # wrapped, so that a long step across a near-singular J keeps the
-        # phases precise
+        # the damping is relative to J^T J's size (its trace); its floors keep
+        # J^T J positive definite at a double root or J = 0, as solve1 needs
+        shift = damping * gram[:, 1:, 1:].trace(axis1=1, axis2=2) + 1e-30
+        step = _solve1(gram[:, 1:, 1:] + shift[:, None, None] * eye, gram[:, 1:, 0])
+        moving = (np.abs(step) >= STEP_TOL).any(axis=1)
+        if not moving.all():
+            out[live] = x
+            live, x, gram, damping, step = (a[moving] for a in (live, x, gram, damping, step))
+            if not len(live):
+                break
+        # wrapped, so a long step across a near-singular J keeps the phases precise
         x_new = _wrap(x - step)
-        r_new, jac_new = fun(x_new)
-        cost_new = np.einsum("ke,ke->k", r_new, r_new)
-        ok = cost_new < cost
-        np.copyto(x, x_new, where=ok[:, None])
-        np.copyto(r, r_new, where=ok[:, None])
-        np.copyto(jac, jac_new, where=ok[:, None, None])
-        np.copyto(cost, cost_new, where=ok)
+        rj = fun(x_new)
+        gram_new = np.ascontiguousarray(rj.transpose(0, 2, 1)) @ rj
+        ok = gram_new[:, 0, 0] < gram[:, 0, 0]
+        x, gram = np.where(ok[:, None], x_new, x), np.where(ok[:, None, None], gram_new, gram)
         damping *= np.where(ok, 0.1, 10.0)
         np.maximum(damping, 1e-14, out=damping, where=ok)
-    return x
+    out[live] = x
+    return out
 
 
 def _rank_solutions(phases, rms, noise_scale, amplitudes):

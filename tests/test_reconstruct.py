@@ -3,6 +3,7 @@ magnitude extraction, phase retrieval with its ambiguity classes, and the
 real-coefficient shortcut formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -680,7 +681,8 @@ def test_phase_jacobians_match_central_differences():
                     return np.array(equations(md, nd, list(y @ basis)))
 
                 y = x[:len(basis)]
-                r, jac = reconstruct._cosine_system(*terms(md, nd), basis)(y[None])
+                rj = reconstruct._cosine_system(*terms(md, nd), basis)(y[None])
+                r, jac = rj[..., 0], rj[..., 1:]
                 assert np.max(np.abs(r[0] - public(y))) <= 1e-15
                 assert np.max(np.abs(jac[0] - central_jacobian(public, y))) <= 1e-8
 
@@ -774,7 +776,7 @@ def test_forward_frame_and_derived_equations_agree(kind, make):
             # the zero-sum gauge
             x, basis = (phases - phases.mean())[:3], np.eye(4)[:3] - np.eye(4)[3]
         terms = reconstruct._frame_terms(kind, est.magnitudes, est.magnitudes45)
-        r, _ = reconstruct._cosine_system(*terms, basis)(x[None])
+        r = reconstruct._cosine_system(*terms, basis)(x[None])[..., 0]
         worst = max(worst, float(np.max(np.abs(r))))
     assert worst <= 1e-14
 
@@ -896,3 +898,113 @@ def test_curve_roots_match_a_dense_scan():
     assert crossings >= 200
     assert worst <= 1e-6
     assert worst_harmonic <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the polish: each candidate row stops on its own step
+
+_MAKE_SOLVE = {"qutrit": (qutrit.make_qutrit, reconstruct.qutrit_phases),
+               "ququart": (ququart.make_ququart, reconstruct.ququart_phases)}
+
+
+def solve_partial(kind, est):
+    try:
+        return _MAKE_SOLVE[kind][1](est)
+    except reconstruct.PhaseUnobservable as err:
+        return err.result
+
+
+def record_polish_calls(monkeypatch):
+    """(fun, starting rows, polished rows) of every _polish call, in order."""
+    calls, polish = [], reconstruct._polish
+
+    def spy(fun, x):
+        out = polish(fun, x)
+        calls.append((fun, np.array(x, dtype=float), out))
+        return out
+
+    monkeypatch.setattr(reconstruct, "_polish", spy)
+    return calls
+
+
+def count_batches(fun, sizes):
+    def counted(x):
+        sizes.append(len(x))
+        return fun(x)
+
+    return counted
+
+
+def test_polish_batch_shrinks_as_rows_converge(monkeypatch):
+    sizes, cosine_system = [], reconstruct._cosine_system
+    monkeypatch.setattr(reconstruct, "_cosine_system",
+                        lambda *terms: count_batches(cosine_system(*terms), sizes))
+    s = ququart.make_ququart(0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j)
+    reconstruct.ququart_phases(ideal_estimate(s))
+    assert sizes[0] == 40
+    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] < sizes[0]
+
+
+@pytest.mark.parametrize("kind", ["qutrit", "ququart"])
+def test_converged_rows_match_the_same_row_polished_alone(monkeypatch, kind):
+    polish = reconstruct._polish
+    calls = record_polish_calls(monkeypatch)
+    gen = np.random.default_rng(31)
+    dim = 3 if kind == "qutrit" else 4
+    for i in range(10):
+        s = _MAKE_SOLVE[kind][0](*(gen.normal(size=dim) + 1j * gen.normal(size=dim)))
+        for est in (ideal_estimate(s), sampled_estimate(s, 2 * i)):
+            solve_partial(kind, est)
+    worst, rows = 0.0, 0
+    total = sum(len(x0) for _, x0, _ in calls)
+    for fun, x0, out in calls:
+        for start, got in zip(x0, out):
+            sizes = []
+            alone = polish(count_batches(fun, sizes), start[None])[0]
+            # one evaluation at the start and one per step taken: a row
+            # still moving at POLISH_STEPS is exempt
+            if len(sizes) <= reconstruct.POLISH_STEPS:
+                worst = max(worst, float(np.max(np.abs(reconstruct._wrap(got - alone)))))
+                rows += 1
+    # 80 of 80 qutrit rows and 762 of 800 ququart rows stop on their own
+    assert rows >= 0.9 * total
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("kind, amps, free", [
+    # one present amplitude: no free phase
+    ("ququart", (1, 0, 0, 0), 0),
+    # C2 below the threshold: the tie phi3 = -phi1
+    ("qutrit", (0.6, 0, 0.48 + 0.64j), 1),
+    ("qutrit", (0.5, 0.5 + 0.5j, 0.5), 2),
+    ("ququart", (0.5, 0, 0.3 + 0.4j, 0.2 - 0.6j), 2),
+    ("ququart", (0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j), 3),
+    # real amplitudes: double roots, where J^T J is singular
+    ("ququart", (0.45, 0.35, -0.55, 0.6), 3),
+], ids=["ququart-0", "qutrit-1", "qutrit-2", "ququart-2", "ququart-3", "ququart-3-real"])
+def test_polish_is_finite_and_silent_for_every_free_phase_count(monkeypatch, kind, amps, free):
+    # the stacked solve kernel returns NaN with a RuntimeWarning for a
+    # singular matrix; the damping floors must keep every one regular
+    calls = record_polish_calls(monkeypatch)
+    s = _MAKE_SOLVE[kind][0](*amps)
+    for est in (ideal_estimate(s), sampled_estimate(s, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_partial(kind, est)
+        assert all(np.isfinite(sol.amplitudes).all() for sol in res.solutions())
+    assert {x0.shape[1] for _, x0, _ in calls} == {free}
+    assert all(np.isfinite(out).all() for _, _, out in calls)
+
+
+def test_polish_leaves_rows_where_the_jacobian_vanishes():
+    # all coefficients zero: J = 0, so only the 1e-30 floor keeps the damped
+    # J^T J regular, and J^T r = 0 stops every row before its first step
+    m = n = np.full(4, 0.5)
+    _, forms, eq, rhs = reconstruct._frame_terms("ququart", m, n)
+    fun = reconstruct._cosine_system(np.zeros(len(forms)), forms, eq, rhs + 0.1,
+                                     np.eye(4)[:3] - np.eye(4)[3])
+    x0 = np.random.default_rng(4).uniform(-math.pi, math.pi, size=(5, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(reconstruct._polish(fun, x0), x0)
