@@ -11,13 +11,16 @@ equations for the phases.  Closed forms give every candidate root: +-acos
 branches, and for a ququart the 8 roots of a degree-4 trigonometric
 polynomial, the product of a circle condition over both branches of the
 curve one equation draws in two phase differences.  Damped Gauss-Newton
-steps then polish every candidate on the full equations, fitting noisy
-records in the least-squares sense.  Both kinds polish through one kernel
-that returns the residuals and the analytic Jacobian of a cosine system
-from one cosine and one sine per term.  Each candidate stops on its own
-step and leaves the batch, so it ends as it would polished alone.  The
-rows within the keep threshold are deduplicated as one amplitude array,
-and only the solutions that get printed are built into states.
+steps then polish the candidates on the full equations, fitting noisy
+records in the least-squares sense.  Noise-free ququart records polish only
+the candidates that start near a root, when some candidate starts at one;
+sampled records and qutrits polish every candidate.  Both kinds polish
+through one kernel that returns the residuals and the analytic Jacobian of
+a cosine system from one cosine and one sine per term.  Each candidate
+stops on its own step and leaves the batch, so it ends as it would polished
+alone.  The rows within the keep threshold are deduplicated as one
+amplitude array, and only the solutions that get printed are built into
+states.
 
 Phase conventions (gauges):
 
@@ -292,6 +295,23 @@ def _rms(eqs):
 # amplitudes) a step only halves the distance
 STEP_TOL = 1e-12
 POLISH_STEPS = 60
+
+# noise-free ququart records polish only the candidate rows that start near
+# a root.  When some row starts at a root (rms on the public equations below
+# ROOT_START_RMS), the rows below NEAR_ROOT_RMS are polished; when none
+# does, every row is.  Both cuts rest on scans, not on a gap.  Where curve
+# roots crowd, np.roots leaves the only rows of an exact root off it, by up
+# to 5.9e-6 in 6,800 Haar ququarts (criterion 8's seed 809, seeds 5 to 7):
+# polishing only the rows below 1e-8 lost exact roots of 4 of them, the
+# truth of one.  Near-degenerate states start every row off, and a 1e-5 cut
+# alone lost exact roots of 2 of 20,000 (seeds 20 and 21).  With both cuts,
+# none of these 26,800 states or of 2,300 real ones (seeds 13 and 14) lost
+# one.  Real amplitudes sit at double roots, and their other rows spread
+# through the band: 1,818 of the 12,000 rows of 300 real ququarts (seed 13,
+# every |C| >= 0.1) start in [1e-10, 1e-6), against 4 of the 12,000 rows of
+# 300 Haar ones (seed 5)
+ROOT_START_RMS = 1e-8
+NEAR_ROOT_RMS = 1e-5
 
 
 def _wrap(x):
@@ -629,11 +649,12 @@ def _ququart_candidates(m, rhs, active):
     All four present: the 16 points (u, v) from _curve_roots (8 polynomial
     roots, each on both branches of e2) and the 4 critical points (u, v) in
     {0, pi}^2 of e2, where real amplitudes sit, each come with both signs of
-    the w that the better-scaled of e1 and e3 fixes: at most 40 rows.
-    Otherwise each phase difference to the first present amplitude is +-acos
-    from the one equation where the two share a term, ignoring the terms of
-    pinned amplitudes, or 0 or pi; noisy records can leave those terms large.
-    rhs is that of _frame_terms.
+    the w that the better-scaled of e1 and e3 fixes: at most 40 rows, of
+    which ququart_phases polishes, for noise-free records, only those that
+    start near a root.  Otherwise each phase difference to the first present
+    amplitude is +-acos from the one equation where the two share a term,
+    ignoring the terms of pinned amplitudes, or 0 or pi; noisy records can
+    leave those terms large.  rhs is that of _frame_terms.
     """
     if len(active) == 4:
         u, v = _curve_roots(m, rhs)
@@ -666,7 +687,12 @@ def ququart_phases(est):
     unobservable; the partial result (unobservable phases pinned to 0) then
     rides on a PhaseUnobservable exception.  One present amplitude takes the
     same path with no free phase, so mismatched records raise Inconsistent
-    there as well.
+    there as well.  Noise-free records (noise_scale 0) whose best
+    candidate row starts at a root, i.e. below ROOT_START_RMS in rms on the
+    public equations, polish only the rows below NEAR_ROOT_RMS; the other
+    rows would walk back to roots those already hold.  Otherwise, and for
+    sampled records, every row is polished.  The rule is the same with all
+    four amplitudes present and with pinned ones.
     """
     m, n, zero = _prepare(est, "ququart")
     terms = _frame_terms("ququart", m, n)
@@ -678,9 +704,16 @@ def ququart_phases(est):
     # the first len(active) - 1 present phases are free, the last one
     # balances the sum to zero
     basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
-    result = _solve(est, basis, _ququart_candidates(m, terms[3], active), terms,
-                    lambda p: ququart_phase_equations(m, n, p),
-                    lambda p: m * np.exp(1j * p), gauge,
+
+    def equations(p):
+        return ququart_phase_equations(m, n, p)
+
+    x0 = _ququart_candidates(m, terms[3], active)
+    if est.noise_scale == 0.0:
+        start = _rms(equations(list((x0 @ basis).T)))
+        if start.min() < ROOT_START_RMS:
+            x0 = x0[start < NEAR_ROOT_RMS]
+    result = _solve(est, basis, x0, terms, equations, lambda p: m * np.exp(1j * p), gauge,
                     _pinned_warning(zero))
     if zero.any():
         raise PhaseUnobservable("amplitudes below threshold leave some phase "

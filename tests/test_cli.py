@@ -623,6 +623,17 @@ def test_reconstruct_ququart_solutions_are_pinned(tmp_path, capsys, amps, flags,
         assert len(matches) == 1
 
 
+def test_reconstruct_ideal_ququart_prints_exact_roots_only(tmp_path, capsys):
+    # polishing every candidate row printed 8 solutions here, the first at
+    # "residual" 4.6e-7: four rows stuck beside the four exact roots
+    amps = "[[-0.0246,0.0077],[-0.271,0.4321],[-0.6622,0.4479],[-0.3163,-0.0073]]"
+    code, out, err = reconstruct_pipe(tmp_path, capsys, amps)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert 1 + len(doc["alternates"]) == 4
+    assert doc["residual"] < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # shell pipeline
 

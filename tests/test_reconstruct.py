@@ -936,14 +936,129 @@ def count_batches(fun, sizes):
 
 
 def test_polish_batch_shrinks_as_rows_converge(monkeypatch):
+    # sampled records polish every candidate row (40 -> 18 over 61 batches)
     sizes, cosine_system = [], reconstruct._cosine_system
     monkeypatch.setattr(reconstruct, "_cosine_system",
                         lambda *terms: count_batches(cosine_system(*terms), sizes))
     s = ququart.make_ququart(0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j)
-    reconstruct.ququart_phases(ideal_estimate(s))
+    reconstruct.ququart_phases(sampled_estimate(s, 0))
     assert sizes[0] == 40
     assert all(b <= a for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] < sizes[0]
+
+
+_GENERIC_QUQUART = (0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j)
+_ALL_FREE = np.eye(4)[:3] - np.eye(4)[3]
+
+
+def starting_rms(est):
+    m, n = est.magnitudes, est.magnitudes45
+    x0 = reconstruct._ququart_candidates(m, reconstruct._frame_terms("ququart", m, n)[3],
+                                         [0, 1, 2, 3])
+    return x0, reconstruct._rms(reconstruct.ququart_phase_equations(m, n, list((x0 @ _ALL_FREE).T)))
+
+
+def same_sets_up_to_global_phase(a, b, tol=1e-12):
+    return len(a) == len(b) and all(
+        sum(1.0 - abs(np.vdot(x, y)) <= tol for y in b) == 1 for x in a)
+
+
+def test_ideal_ququart_polishes_only_rows_that_start_near_a_root(monkeypatch):
+    calls = record_polish_calls(monkeypatch)
+    est = ideal_estimate(ququart.make_ququart(*_GENERIC_QUQUART))
+    x0, rms = starting_rms(est)
+    res = reconstruct.ququart_phases(est)
+    (_, polished, _), = calls
+    assert rms.min() < reconstruct.ROOT_START_RMS
+    near = rms < reconstruct.NEAR_ROOT_RMS
+    assert near.sum() < len(x0)
+    assert np.array_equal(polished, x0[near])
+
+    # pushed off their roots, no row starts at one, so every row is
+    # polished, and they reach the same solutions
+    candidates = reconstruct._ququart_candidates
+    monkeypatch.setattr(reconstruct, "_ququart_candidates",
+                        lambda *args: candidates(*args) + 1e-3)
+    assert (starting_rms(est)[1] >= reconstruct.ROOT_START_RMS).all()
+    pushed = reconstruct.ququart_phases(est)
+    assert len(calls[-1][1]) == len(x0)
+    assert same_sets_up_to_global_phase([s.amplitudes for s in res.solutions()],
+                                        [s.amplitudes for s in pushed.solutions()])
+
+
+def solve_every_row(monkeypatch, est):
+    with monkeypatch.context() as patch:
+        patch.setattr(reconstruct, "ROOT_START_RMS", np.inf)
+        patch.setattr(reconstruct, "NEAR_ROOT_RMS", np.inf)
+        return reconstruct.ququart_phases(est)
+
+
+def criterion_8_ququart(index):
+    gen = np.random.default_rng(809)
+    c = gen.normal(size=(500, 4)) + 1j * gen.normal(size=(500, 4))
+    return c[index]
+
+
+@pytest.mark.parametrize("amps", [
+    # crowded curve roots: the only rows of one root pair start at rms 4.2e-8,
+    # beside rows of other roots at 1e-12
+    criterion_8_ququart(71),
+    # near-degenerate (draw 1782 of default_rng(20), rounded): no row starts
+    # below 2.9e-6, and the rows of one root pair start above 1e-5
+    (-0.381 - 0.281j, 0.508 + 0.392j, 0.289 + 0.269j, -0.346 - 0.297j),
+], ids=["crowded-roots", "no-row-at-a-root"])
+def test_ideal_ququart_keeps_roots_whose_rows_start_off_them(monkeypatch, amps):
+    est = ideal_estimate(ququart.make_ququart(*amps))
+    every = [s.amplitudes for s in solve_every_row(monkeypatch, est).solutions()]
+    got = [s.amplitudes for s in reconstruct.ququart_phases(est).solutions()]
+    assert len(every) == 8
+    assert same_sets_up_to_global_phase(got, every)
+
+
+def nth_draw(seed, index, draw):
+    gen = np.random.default_rng(seed)
+    for _ in range(index):
+        draw(gen)
+    return draw(gen)
+
+
+def real_draw(gen):
+    # drawn again unless every |C| >= 0.1
+    while True:
+        c = gen.normal(size=4)
+        c /= np.linalg.norm(c)
+        if np.abs(c).min() >= 0.1:
+            return c
+
+
+def solution_rms(est, res):
+    return [float(reconstruct._rms(reconstruct.ququart_phase_equations(
+        est.magnitudes, est.magnitudes45, list(np.angle(s.amplitudes)))))
+        for s in res.solutions()]
+
+
+def test_ideal_ququart_prints_its_exact_roots_only():
+    # the full polish left rows of this state stuck at rms 4.6e-7 to 7.8e-7
+    # and printed them first, beside its 4 exact roots
+    c = nth_draw(5, 267, lambda gen: gen.normal(size=4) + 1j * gen.normal(size=4))
+    est = ideal_estimate(ququart.make_ququart(*c))
+    res = reconstruct.ququart_phases(est)
+    sols = [s.amplitudes for s in res.solutions()]
+    assert len(sols) == 4
+    assert max(solution_rms(est, res)) <= 1e-12
+    # pairwise distinct
+    assert same_sets_up_to_global_phase(sols, sols, 1e-8)
+    assert truth_overlap(res, c / np.linalg.norm(c)) >= 1 - 1e-12
+
+
+def test_ideal_real_ququart_prints_no_near_copies():
+    # the full polish printed two near-copies at rms 3.8e-9 beside the root
+    c = nth_draw(13, 10, real_draw)
+    est = ideal_estimate(ququart.make_ququart(*c))
+    res = reconstruct.ququart_phases(est)
+    assert len(res.solutions()) == 1
+    assert max(solution_rms(est, res)) <= 1e-12
+    assert truth_overlap(res, c) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("kind", ["qutrit", "ququart"])
