@@ -215,9 +215,12 @@ def quantify(s):
 
         K       = 2 / (1 - 2 D)        (in [2, 4])
         C_I     = sqrt(1 + 2 D)        (in [1, sqrt(1.5)])
-        lambdas = (1 + P_h)/4 twice, then (1 - P_h)/4 twice
+        lambdas = (1 + P_h)/4 twice, then 4 D/(4 (1 + P_h)) = (1 - P_h)/4
+                  twice
 
-    and the entropy of those four reduced eigenvalues in bits.  K is
+    and the entropy of those four reduced eigenvalues in bits.  The small
+    pair is schmidt_decompose's small weight bit for bit, and keeps its
+    digits near P_h = 1: it is exactly 0 where D = 0.  K is
     cross-checked at call time against 1/Tr(rho_r^2) with rho_r = M M^dagger
     of the 4x4 amplitude matrix M, and against K(P_h) = 4/(1 + P_h^2);
     neither route passes through D.  M couples (Hh, Vh) only to (Hl, Vl),
@@ -234,7 +237,7 @@ def quantify(s):
     p = _degree_p((2.0 * x.real, -2.0 * x.imag, h - v))
     _check_close(k, 4.0 / (1.0 + p * p),
                  "K(D)={!r} disagrees with K(P_h) = 4/(1 + P_h^2) = {!r}")
-    lam = _spectrum(p, 4)
+    lam = _spectrum(p, 4.0 * d, 4)
     return QuquartReport(
         schmidt_k=k,
         i_concurrence=math.sqrt(1.0 + 2.0 * d),
@@ -257,18 +260,16 @@ def schmidt_decompose(s):
     g = e^{i arg(C1 C4 - C2 C3)} times the vector orthogonal to w, so that
     A = s1 e w^T + s2 f g^T.  Each such product gives two terms of equal
     weight, with modes (e, w)/sqrt(2) and i (e, -w)/sqrt(2) on
-    (Hh, Hl, Vh, Vl): weight (1 + P_h)/4, the one quantify reports, for e
-    and w, and D/(1 + P_h) = (1 - P_h)/4 for f and g.  At call time the
+    (Hh, Hl, Vh, Vl): quantify's weights, (1 + P_h)/4 for e and w and
+    (1 - P_h)/4 for f and g, bit for bit.  At call time the
     terms, dropped ones included, must rebuild A within ORACLE_TOL.
     """
     c1, c2, c3, c4 = map(complex, (s.c1, s.c2, s.c3, s.c4))
     h, v, x = _high_photon_state(s)
     xi = (2.0 * x.real, -2.0 * x.imag, h - v)
     p = _degree_p(xi)
-    lam_hi = _spectrum(p, 4)[0]
     det = _pair_determinant(s)
-    # min: as for the qutrit, rounding near P_h = 0 must not reorder them
-    lam_lo = min(lam_hi, abs(det) ** 2 / (1.0 + p))
+    lam_hi, _, lam_lo, _ = _spectrum(p, 4.0 * abs(det) ** 2, 4)
     a = ((c1 * _INV_SQRT2, c2 * _INV_SQRT2), (c3 * _INV_SQRT2, c4 * _INV_SQRT2))
     e = _top_mode(xi, p)
     f = _partner(e, 1.0)

@@ -230,8 +230,10 @@ def quantify(q):
     """Compute the entanglement quantifiers of a qutrit.
 
     Closed forms: C = |2 C1 C3 - C2^2|, K = 2/(2 - C^2), reduced eigenvalues
-    lambda_+- = (1 +- P)/2 with P the degree of polarization, and their
-    entropy in bits.  K is cross-checked at call time against 1/Tr(rho_r^2)
+    lambda_+ = (1 + P)/2 and lambda_- = C^2/(2 (1 + P)) = (1 - P)/2 with P
+    the degree of polarization, and their entropy in bits.  lambda_- is
+    schmidt_decompose's small weight bit for bit, and keeps its digits near
+    product states.  K is cross-checked at call time against 1/Tr(rho_r^2)
     with rho_r = M M^dagger of the 2x2 amplitude matrix
     M = [[C1, C2/sqrt(2)], [C2/sqrt(2), C3]], written out entry by entry in
     Python complex arithmetic, a route that does not pass through C.
@@ -241,9 +243,10 @@ def quantify(q):
     m01 = q.c2 / SQRT2
     _check_close(k, 1.0 / _block_purity(q.c1, m01, m01, q.c3),
                  "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}")
-    # lambda_+- = (1 +- P)/2: P = sqrt(1 - C^2) by C^2 + P^2 = 1, but P from
-    # the amplitudes stays accurate where sqrt(1 - C^2) loses half the digits
-    lam_p, lam_m = _spectrum(_degree_p(_polarization_vector(q)), 2)
+    # P from the amplitudes keeps the digits sqrt(1 - C^2) loses, and
+    # 1 - P^2 = C^2 = 4 |det M|^2 those 1 - P loses near product states; C/2
+    # is |det M| bit for bit, squared as schmidt_decompose squares it
+    lam_p, lam_m = _spectrum(_degree_p(_polarization_vector(q)), 4.0 * (c / 2.0) ** 2, 2)
     return EntanglementReport(
         schmidt_k=k,
         concurrence=c,
@@ -288,9 +291,8 @@ def schmidt_decompose(q):
     dropped, so a product state comes back with a single term.  Both photons
     share one mode per term because the state is exchange symmetric.
 
-    Closed form, no eigensolver.  The weights are lambda_+ = (1 + P)/2, the
-    one quantify reports, and lambda_- = 2 |det M|^2/(1 + P) with
-    det M = C1 C3 - C2^2/2, which keeps its digits near product states.  The
+    Closed form, no eigensolver.  The weights are quantify's lambda_+- bit
+    for bit.  With det M = C1 C3 - C2^2/2 (C = 2 |det M|), the
     first mode u solves M u* = sqrt(lambda_+) u: with v the reduced state's
     eigenvector for lambda_+ (any unit vector at P = 0) and w = M v*/|M v*|,
     u is v + w normalized, or i (v - w) where v + w cancels; this holds at
@@ -301,11 +303,8 @@ def schmidt_decompose(q):
     c1, c2, c3 = complex(q.c1), complex(q.c2), complex(q.c3)
     xi = _polarization_vector(q)
     p = _degree_p(xi)
-    lam_p = _spectrum(p, 2)[0]
     det = c1 * c3 - c2 * c2 / 2.0
-    # min: rounding puts lambda_- above lambda_+ for some maximally
-    # entangled states, and the weights must descend
-    lam_m = min(lam_p, 2.0 * abs(det) ** 2 / (1.0 + p))
+    lam_p, lam_m = _spectrum(p, 4.0 * abs(det) ** 2, 2)
     m01 = c2 / SQRT2
     v0, v1 = _top_mode(xi, p)
     w0, w1 = _unit(c1 * v0.conjugate() + m01 * v1.conjugate(),
@@ -394,11 +393,15 @@ def _block_purity(a, b, c, d):
     return r00 * r00 + r11 * r11 + 2.0 * abs(r01) ** 2
 
 
-def _spectrum(p, d):
+def _spectrum(p, gap, d):
     # reduced eigenvalues of one photon, descending: (1 + P)/d and
-    # (1 - P)/d, each d/2 times; d = 2 for a qutrit, 4 for a ququart, whose
-    # two decoupled polarization blocks share the high-frequency photon's P
-    hi, lo = (1.0 + p) / d, (1.0 - p) / d
+    # (1 - P)/d = gap/(d (1 + P)), each d/2 times, from P and gap = 1 - P^2
+    # in cancellation-free form: C^2 = 4 |det M|^2 for a qutrit (d = 2),
+    # 4 |C1 C4 - C2 C3|^2 for a ququart (d = 4), whose two decoupled polarization blocks share
+    # the high-frequency photon's P.  The min keeps them descending where
+    # rounding would put the small one above (1 + P)/d, near P = 0
+    hi = (1.0 + p) / d
+    lo = min(hi, gap / (d * (1.0 + p)))
     return [hi] * (d // 2) + [lo] * (d // 2)
 
 

@@ -330,7 +330,8 @@ def test_polarization_anticorrelation():
 
 def test_degree_p_is_the_p_behind_the_lambdas():
     # one P per qutrit: polarization's degree_p is the P of quantify's
-    # lambda_+- = (1 +- P)/2, bit for bit, and never exceeds 1
+    # lambda_+ = (1 + P)/2, bit for bit, and never exceeds 1; lambda_- is
+    # the small Schmidt weight, (1 - P)/2 without its cancellation
     local = np.random.default_rng(5150)
     states = [qutrit.make_qutrit(*(local.normal(size=3) + 1j * local.normal(size=3)))
               for _ in range(2000)]
@@ -339,7 +340,8 @@ def test_degree_p_is_the_p_behind_the_lambdas():
     for q in states:
         rep, pol = qutrit.quantify(q), qutrit.polarization(q)
         assert (1.0 + pol.degree_p) / 2.0 == rep.lambda_plus
-        assert (1.0 - pol.degree_p) / 2.0 == rep.lambda_minus
+        assert (rep.lambda_minus < tensor.SCHMIDT_WEIGHT_CUTOFF
+                or qutrit.schmidt_decompose(q).lambdas[1] == rep.lambda_minus)
         assert pol.degree_p <= 1.0
 
 

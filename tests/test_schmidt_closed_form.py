@@ -137,6 +137,21 @@ def test_leading_weight_is_quantify_lambda(kind, typ):
         assert module.schmidt_decompose(s).lambdas[0] == top
 
 
+@pytest.mark.parametrize("kind, typ", CASES)
+def test_small_weight_is_quantify_lambda(kind, typ):
+    # one report, one value: quantify's small reduced eigenvalue is the
+    # small Schmidt weight bit for bit wherever that weight is kept
+    module = _MODULE[kind]
+    for s in case_states(kind, typ):
+        rep, lam = module.quantify(s), module.schmidt_decompose(s).lambdas
+        if kind == "qutrit":
+            small = [rep.lambda_minus]
+        else:
+            small = list(rep.lambdas[2:])
+        if small[0] >= tensor.SCHMIDT_WEIGHT_CUTOFF:
+            assert small == [lam[-1]] * len(small)
+
+
 def test_weights_descend_at_maximal_entanglement():
     # rounding puts D/(1 + P_h) above (1 + P_h)/4 for some maximal ququarts
     # and 2 |det M|^2/(1 + P) above (1 + P)/2 for some maximal qutrits
