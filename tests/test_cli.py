@@ -159,7 +159,7 @@ _QUANTIFY_STDOUT = [
      '{"amplitudes":[{"im":0.41931393468876732,"re":0.31448545101657549},{"im":0.10482'
      '848367219183,"re":-0.52414241836095909},{"im":-0.62897090203315098,"re":0.209656'
      '96734438366}],"entanglement":{"concurrence":0.41058333389603091,"entropy":0.2607'
-     '3338427094506,"lambda_minus":0.04408846090309898,"lambda_plus":0.955911539096901'
+     '3338427094511,"lambda_minus":0.044088460903098987,"lambda_plus":0.955911539096901'
      '08,"schmidt_k":1.092048002109983},"kind":"qutrit","polarization":{"degree_p":0.9'
      '1182307819380204,"xi":[-0.41960182619861058,0.79258122726404234,-0.1648351648351'
      '6492]},"schema":"report/1","schmidt":{"lambdas":[0.95591153909690108,0.044088460'
@@ -181,7 +181,7 @@ _QUANTIFY_STDOUT = [
      ':-0.31937172774869105},{"im":0.13882986541620698,"re":0.074042594888643717},{"im'
      '":0.13882986541620698,"re":0.074042594888643717},{"im":-6.1097758125573311e-18,"'
      're":0.22251308900523559}]],"entanglement":{"concurrence":0.52607380906701462,"en'
-     'tropy":0.38351562197989797,"lambda_minus":0.074780542715375542,"lambda_plus":0.9'
+     'tropy":0.38351562197989802,"lambda_minus":0.074780542715375556,"lambda_plus":0.9'
      '252194572846244,"schmidt_k":1.1606001678179294},"kind":"qutrit","polarization":{'
      '"degree_p":0.85043891456924892,"xi":[0.11846815182182993,0.77374511658632694,0.3'
      '3246073298429324]},"schema":"report/1","schmidt":{"lambdas":[0.9252194572846244,'
@@ -194,7 +194,7 @@ _QUANTIFY_STDOUT = [
      '665446106367,"re":-0.50443327230531831},{"im":-0.60531992676638191,"re":0.201773'
      '30892212733},{"im":0.25221663615265916,"re":0.10088665446106367}],"entanglement"'
      ':{"entropy":1.2719633164211968,"i_concurrence":1.0435207263005759,"lambdas":[0.4'
-     '7667832212772321,0.47667832212772321,0.023321677872276819,0.023321677872276819],"s'
+     '7667832212772321,0.47667832212772321,0.023321677872276826,0.023321677872276826],"s'
      'chmidt_k":2.1952342711760817},"kind":"ququart","schema":"report/1","schmidt":{"l'
      'ambdas":[0.47667832212772321,0.47667832212772321,0.023321677872276826,0.02332167'
      '7872276826],"modes":[[{"im":0,"re":0.51041522971593001},{"im":0.4404647079686450'
@@ -211,7 +211,7 @@ _QUANTIFY_STDOUT = [
 ]
 _QUANTIFY_STDOUT_SHA256 = [
     (['--amplitudes', '[[-0.6,0.15],[0.2,0.3],[0.45,-0.1],[0.05,0.5]]', '--dump-density'],
-     'a7748f431095790a71ed5a4ccbfcec7b5f9527f3d79c1a58d34d97613c9053ca'),
+     'ebb805036c7c6d90b9726591f39c36e3ff405f31d3a50ec978432568ecc62422'),
 ]
 
 
