@@ -211,7 +211,7 @@ def beam_splitter_wavefunction(q):
     arm = np.array([1.0, -1.0]) / SQRT2
     composite = np.kron(m_pol, np.outer(arm, arm)).reshape(16)
     k_comp = schmidt_number(composite, 4)
-    k_q = 2.0 / (2.0 - _qutrit.concurrence(q) ** 2)
+    k_q = _qutrit.quantify(q).schmidt_k
     if abs(k_comp - k_q) > 1e-10:
         raise ConsistencyError(
             f"angular factor changed K: composite {k_comp!r} vs qutrit {k_q!r}"

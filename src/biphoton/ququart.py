@@ -45,7 +45,7 @@ from .qutrit import (
     _spectrum,
     _top_mode,
     _unit,
-    concurrence as qutrit_concurrence,
+    quantify as qutrit_quantify,
     wavefunction as qutrit_wavefunction,
 )
 
@@ -364,8 +364,8 @@ def qutrit_to_ququart_postselect(q):
     amplitude matrix by the exchange matrix
     [[0, 1], [1, 0]]/sqrt(2) in the arm labels.  The angular factor is itself
     maximally entangled, so the Schmidt parameter doubles:
-    K_total = 2 K_qutrit, verified here against the 16-dimensional
-    partial-trace oracle.
+    K_total = 2 K_qutrit, with K_qutrit from qutrit.quantify, verified here
+    against the 16-dimensional partial-trace oracle.
 
     Returns (composite, k_total) where composite is the 16-component vector
     on the product basis of (polarization x arm) single-photon modes.
@@ -374,8 +374,7 @@ def qutrit_to_ququart_postselect(q):
     arm = np.array([[0.0, 1.0], [1.0, 0.0]]) / SQRT2
     composite = np.kron(m_pol, arm).reshape(16)
     k_total = schmidt_number(composite, 4)
-    c = qutrit_concurrence(q)
-    k_qutrit = 2.0 / (2.0 - c * c)
+    k_qutrit = qutrit_quantify(q).schmidt_k
     if abs(k_total - 2.0 * k_qutrit) > 1e-10:
         raise ConsistencyError(
             f"postselected K={k_total!r} is not twice the qutrit K={k_qutrit!r}"
