@@ -215,8 +215,7 @@ def quantify(s):
 
         K       = 2 / (1 - 2 D)        (in [2, 4])
         C_I     = sqrt(1 + 2 D)        (in [1, sqrt(1.5)])
-        lambdas = (1 + P_h)/4 twice, then 4 D/(4 (1 + P_h)) = (1 - P_h)/4
-                  twice
+        lambdas = (1 + P_h)/4 twice, then D/(1 + P_h) = (1 - P_h)/4 twice
 
     and the entropy of those four reduced eigenvalues in bits.  The small
     pair is schmidt_decompose's small weight bit for bit, and keeps its

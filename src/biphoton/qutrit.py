@@ -397,9 +397,10 @@ def _spectrum(p, gap, d):
     # reduced eigenvalues of one photon, descending: (1 + P)/d and
     # (1 - P)/d = gap/(d (1 + P)), each d/2 times, from P and gap = 1 - P^2
     # in cancellation-free form: C^2 = 4 |det M|^2 for a qutrit (d = 2),
-    # 4 |C1 C4 - C2 C3|^2 for a ququart (d = 4), whose two decoupled polarization blocks share
-    # the high-frequency photon's P.  The min keeps them descending where
-    # rounding would put the small one above (1 + P)/d, near P = 0
+    # 4 |C1 C4 - C2 C3|^2 for a ququart (d = 4), whose two decoupled
+    # polarization blocks share the high-frequency photon's P.  The min
+    # keeps them descending where rounding would put the small one above
+    # (1 + P)/d, near P = 0
     hi = (1.0 + p) / d
     lo = min(hi, gap / (d * (1.0 + p)))
     return [hi] * (d // 2) + [lo] * (d // 2)

@@ -12,13 +12,19 @@ and D = 0 (P_h = 1 exactly) and maximally entangled states (P = 0).
 """
 
 import decimal
-import math
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from biphoton import ququart, qutrit
+from test_schmidt_closed_form import (
+    kicked,
+    maximal_ququart,
+    near_maximal_qutrit,
+    near_product_qutrit,
+    product_ququart,
+)
 
 CTX = decimal.Context(prec=50)
 LN2 = Decimal(2).ln(CTX)
@@ -78,36 +84,6 @@ def quantify_spectrum(kind, state):
     return list(rep.lambdas), rep.entropy
 
 
-def kicked(kind, centre, seed, n, lo, hi):
-    """n states, each centre(rng) plus a complex kick of norm 10^U(lo, hi)."""
-    dim = 3 if kind == "qutrit" else 4
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        kick = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        kick *= 10.0 ** rng.uniform(lo, hi) / np.linalg.norm(kick)
-        out.append(_MAKE[kind](*(centre(rng) + kick).tolist()))
-    return out
-
-
-def _angles(rng):
-    return rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
-
-
-def product_qutrit(rng):
-    return qutrit.non_entangled_family(*_angles(rng)).amplitudes
-
-
-def _unit(rng, n):
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
-
-
-def product_ququart(rng):
-    # a x b on (Hh, Vh) x (Hl, Vl): D = 0, P_h = 1
-    return np.kron(_unit(rng, 2), _unit(rng, 2))
-
-
 def zero_pair_ququarts(n, seed):
     """n complex Gaussian ququarts with C1 or C4 and C2 or C3 set to zero,
     so D = |C1 C4 - C2 C3|^2 = 0 exactly and the spectrum is (1/2, 1/2, 0, 0)."""
@@ -120,16 +96,9 @@ def zero_pair_ququarts(n, seed):
     return out
 
 
-def maximal(kind, seed, n):
+def unkicked(kind, centre, seed, n):
     rng = np.random.default_rng(seed)
-    if kind == "qutrit":
-        return [qutrit.max_entangled_family(*_angles(rng)) for _ in range(n)]
-    out = []
-    for _ in range(n):
-        # A = U/sqrt(2) for a unitary U: D = 1/4, P_h = 0
-        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        out.append(ququart.make_ququart(*(u.reshape(4) / math.sqrt(2.0)).tolist()))
-    return out
+    return [_MAKE[kind](*centre(rng).tolist()) for _ in range(n)]
 
 
 def errors(kind, states):
@@ -147,13 +116,14 @@ def errors(kind, states):
     return small, every, entropy
 
 
-@pytest.mark.parametrize("kind, centre", [("qutrit", product_qutrit), ("ququart", product_ququart)])
+@pytest.mark.parametrize("kind, centre", [("qutrit", near_product_qutrit),
+                                          ("ququart", product_ququart)])
 def test_near_product_small_eigenvalue_keeps_its_digits(kind, centre):
     # P -> 1: (1 - P)/d keeps only the digits of 1 - P, while the relative
     # error left in (1 - P^2)/(d (1 + P)) is det's own rounding, about
     # 1e-16/kick.  The entropy's error is absolute: (1 + P)/d rounds at
     # 1e-16, so its relative error near a product qutrit can reach 1e-2
-    states = kicked(kind, centre, 3 if kind == "qutrit" else 4, 300, -7, -3)
+    states = kicked(kind, centre, 3 if kind == "qutrit" else 4, 300, (-7, -3))
     small, _, entropy = errors(kind, states)
     assert small <= 1e-8
     assert entropy <= 1e-15
@@ -171,11 +141,12 @@ def test_zero_pair_ququarts_have_entropy_one():
     assert errors("ququart", states)[1] <= 2.3e-16
 
 
-@pytest.mark.parametrize("kind", ["qutrit", "ququart"])
-def test_maximally_entangled_spectrum(kind):
+@pytest.mark.parametrize("kind, centre", [("qutrit", near_maximal_qutrit),
+                                          ("ququart", maximal_ququart)])
+def test_maximally_entangled_spectrum(kind, centre):
     # P = 0: every eigenvalue is 1/d and the entropy is 1 (qutrit) or 2 bits
     # (ququart), up to the rounding of the amplitudes
-    _, every, entropy = errors(kind, maximal(kind, 5, 300))
+    _, every, entropy = errors(kind, unkicked(kind, centre, 5, 300))
     assert every <= 1e-15
     assert entropy <= 2e-15
 

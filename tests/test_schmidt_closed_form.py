@@ -21,15 +21,15 @@ _MODULE = {"qutrit": qutrit, "ququart": ququart}
 _GROUPS = {"qutrit": ((0,), (1,)), "ququart": ((0, 1), (2, 3))}
 
 
-def kicked(kind, centre, seed):
-    """KICKED states, each centre(rng) plus a kick of size 10^U(-9, -3)."""
+def kicked(kind, centre, seed, n=KICKED, sizes=(-9, -3)):
+    """n states, each centre(rng) plus a kick of size 10^U(*sizes)."""
     d = 3 if kind == "qutrit" else 4
     make = qutrit.make_qutrit if kind == "qutrit" else ququart.make_ququart
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(KICKED):
+    for _ in range(n):
         kick = rng.normal(size=d) + 1j * rng.normal(size=d)
-        kick *= 10.0 ** rng.uniform(-9, -3) / np.linalg.norm(kick)
+        kick *= 10.0 ** rng.uniform(*sizes) / np.linalg.norm(kick)
         out.append(make(*(centre(rng) + kick).tolist()))
     return out
 
