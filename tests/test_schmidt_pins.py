@@ -1,13 +1,16 @@
-"""Bit-level pins of the Schmidt path and the two-qubit model.
+"""Bit-level pins of the closed-form quantifiers.
 
 SHA-256 digests of the raw bytes (signed zeros included) of every
-`schmidt_decompose` weight and mode and of every `two_qubit_model` field, over
-seeded states of each kind: Haar states, states with one or two zero
-amplitudes, real states of mixed sign and both named families.  A change to
-the closed-form Schmidt decompositions, the polarization vectors they start
-from or the two-qubit model that moves any bit fails here.  Neither path
-calls an eigensolver, so the digests no longer depend on how a LAPACK build
-rounds `eigh`; they were recorded with numpy 2.4 on x86-64.
+`schmidt_decompose` weight and mode, of every `two_qubit_model` field, of
+every `quantify` field but the entropy and of every qutrit `polarization`
+field, over seeded states of each kind: Haar states, states with one or two
+zero amplitudes, real states of mixed sign and both named families.  A change
+to the closed forms, the polarization vectors they start from or the
+two-qubit model that moves any bit fails here.  No path calls an eigensolver,
+so the digests do not depend on how a LAPACK build rounds `eigh`; they were
+recorded with numpy 2.4 on x86-64.  The entropy is instead held equal, bit
+for bit, to `tensor.vn_entropy` of the report's own spectrum, which stays
+true wherever numpy's `log2` rounds differently.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import struct
 import numpy as np
 import pytest
 
-from biphoton import ququart, qutrit
+from biphoton import ququart, qutrit, tensor
 
 PER_TYPE = 250
 FAMILY_ANGLES = np.linspace(0.0, math.pi, 61)
@@ -77,6 +80,30 @@ def two_qubit_digest(typ):
     return h.hexdigest()
 
 
+def _floats(h, *xs):
+    h.update(struct.pack(f"<{len(xs)}d", *xs))
+
+
+def quantify_digest(kind, typ):
+    h = hashlib.sha256()
+    for s in states(kind, typ):
+        if kind == "qutrit":
+            rep = qutrit.quantify(s)
+            _floats(h, rep.schmidt_k, rep.concurrence, rep.lambda_plus, rep.lambda_minus)
+        else:
+            rep = ququart.quantify(s)
+            _floats(h, rep.schmidt_k, rep.i_concurrence, *rep.lambdas)
+    return h.hexdigest()
+
+
+def polarization_digest(typ):
+    h = hashlib.sha256()
+    for s in states("qutrit", typ):
+        rep = qutrit.polarization(s)
+        _floats(h, *rep.xi, rep.degree_p)
+    return h.hexdigest()
+
+
 _SCHMIDT = {
     ("qutrit", "haar"):
         "48f3fad54f932e47c953e2b1da25045bb234efba6a327f3b7fa4a4f944dde99f",
@@ -109,6 +136,38 @@ _TWO_QUBIT = {
 }
 
 
+_QUANTIFY = {
+    ("qutrit", "haar"):
+        "6d66fc29e9f091d99f9bc558c581309e392688c3c35518f44278eac90b219cd5",
+    ("qutrit", "zero1"):
+        "98655e286b53d4ef2841b9dd2d66bdbcf0c91fdf70d0018dfe220127e5d87007",
+    ("qutrit", "zero2"):
+        "9319a7aa4b2ce83542a58778b43ed4db2ae2cc25e2ac94a2257c04fcdaf854ac",
+    ("qutrit", "real"):
+        "46eac4be6efdea1d3de364600459a0ad7223a9b5ea7b0c5f7d71f984a8bbd897",
+    ("qutrit", "families"):
+        "2da65608f720260123512b55259634caef5329d238c3aeceaab01d2079f722b2",
+    ("ququart", "haar"):
+        "9f92ff817bc30f9bc5ce6113cb05c8ddbbdeed57667ae57a9379dcacdc043566",
+    ("ququart", "zero1"):
+        "10b027c832d92dc5965596d3c24d478e822384d452d1c4f57b93353077f71765",
+    ("ququart", "zero2"):
+        "c3cfdd02705532a396c44265604cb4de0e5a6bda4de2f95b2ff24fe0c2d877dc",
+    ("ququart", "real"):
+        "875e047ea9f818fdff559e7d925cc714324457d948fad92943dd138a59c74974",
+    ("ququart", "families"):
+        "4bad6ca8736241b242b1ea0fd43ae3f79a1237d55643638efe61946680832100",
+}
+
+_POLARIZATION = {
+    "haar": "efbfa935e100855f6f1c87f1f27048797b35f81562e66a9239698d0f231d7ff7",
+    "zero1": "1061294c97aeb35236f5cdfb2fe0a6457fc58afd78723a2f96ad79d93e6bed60",
+    "zero2": "c6fbd9d46ca8a6c5205776a7ba9056695a0b20d716d1f12c15d85f9bc42e8805",
+    "real": "5903f7416d60356c823d2af9f9b65e2c604955c4f8149f2cb0e3a699444254a9",
+    "families": "d12853725388b8910eac97dd3e1920c5dde5b7bf129ac29ab95d24633354d86a",
+}
+
+
 @pytest.mark.parametrize("kind, typ", sorted(_SCHMIDT))
 def test_schmidt_decompose_bits_are_pinned(kind, typ):
     assert schmidt_digest(kind, typ) == _SCHMIDT[kind, typ]
@@ -117,3 +176,26 @@ def test_schmidt_decompose_bits_are_pinned(kind, typ):
 @pytest.mark.parametrize("typ", sorted(_TWO_QUBIT))
 def test_two_qubit_model_bits_are_pinned(typ):
     assert two_qubit_digest(typ) == _TWO_QUBIT[typ]
+
+
+@pytest.mark.parametrize("kind, typ", sorted(_QUANTIFY))
+def test_quantify_bits_are_pinned(kind, typ):
+    assert quantify_digest(kind, typ) == _QUANTIFY[kind, typ]
+
+
+@pytest.mark.parametrize("typ", sorted(_POLARIZATION))
+def test_polarization_bits_are_pinned(typ):
+    assert polarization_digest(typ) == _POLARIZATION[typ]
+
+
+@pytest.mark.parametrize("kind, typ", sorted(_QUANTIFY))
+def test_quantify_entropy_is_vn_entropy_of_its_spectrum(kind, typ):
+    for s in states(kind, typ):
+        if kind == "qutrit":
+            rep = qutrit.quantify(s)
+            lam = [rep.lambda_plus, rep.lambda_minus]
+        else:
+            rep = ququart.quantify(s)
+            lam = list(rep.lambdas)
+        # packed, so a -0.0 entropy fails against the oracle's 0.0
+        assert struct.pack("<d", rep.entropy) == struct.pack("<d", tensor.vn_entropy(lam)), s
