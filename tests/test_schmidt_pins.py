@@ -199,3 +199,18 @@ def test_quantify_entropy_is_vn_entropy_of_its_spectrum(kind, typ):
             lam = list(rep.lambdas)
         # packed, so a -0.0 entropy fails against the oracle's 0.0
         assert struct.pack("<d", rep.entropy) == struct.pack("<d", tensor.vn_entropy(lam)), s
+
+
+@pytest.mark.parametrize("kind, typ", sorted(_SCHMIDT))
+def test_schmidt_arrays_are_one_contiguous_array_without_negative_zeros(kind, typ):
+    # the digests hash contiguous copies, so they see none of this
+    module = qutrit if kind == "qutrit" else ququart
+    for s in states(kind, typ):
+        dec = module.schmidt_decompose(s)
+        m = dec.modes_first
+        assert m is dec.modes_second
+        assert m.dtype == np.complex128 and m.flags.c_contiguous
+        assert dec.lambdas.dtype == np.float64 and dec.lambdas.flags.c_contiguous
+        parts = np.concatenate([m.real.ravel(), m.imag.ravel(), dec.lambdas])
+        assert not np.signbit(parts[parts == 0.0]).any(), s
+
