@@ -29,7 +29,6 @@ from .tensor import (
     SCHMIDT_WEIGHT_CUTOFF,
     ConsistencyError,
     schmidt_number,
-    vn_entropy,
 )
 from .qutrit import (
     ORACLE_TOL,
@@ -40,6 +39,7 @@ from .qutrit import (
     _check_terms,
     _decomposition,
     _degree_p,
+    _entropy,
     _normalized,
     _partner,
     _spectrum,
@@ -199,10 +199,9 @@ def _reduced_purity(s):
     return (_block_purity(s.c1, s.c2, s.c3, s.c4) + _block_purity(s.c1, s.c3, s.c2, s.c4)) / 4.0
 
 
-def _high_photon_state(s):
+def _high_photon_state(c1, c2, c3, c4):
     # the high-frequency photon's polarization state, twice the (Hh, Vh)
     # block of reduced_density: its H and V populations and H-V coherence
-    c1, c2, c3, c4 = map(complex, (s.c1, s.c2, s.c3, s.c4))
     return (abs(c1) ** 2 + abs(c2) ** 2, abs(c3) ** 2 + abs(c4) ** 2,
             c1 * c3.conjugate() + c2 * c4.conjugate())
 
@@ -226,23 +225,25 @@ def quantify(s):
     through A = [[C1, C2], [C3, C4]]/sqrt(2), so rho_r is the direct sum of
     A A^dagger and A^T conj(A); each block's purity is written out from its
     own entries in Python complex arithmetic, with no 4x4 array formed.
+
+    Every value is taken in Python float and complex arithmetic.  The
+    entropy is tensor.vn_entropy of the four lambdas bit
+    for bit, from a kernel that sums the two distinct values, each twice,
+    in its order with numpy's log2.
     """
     d = abs(_pair_determinant(s)) ** 2
     k = 2.0 / (1.0 - 2.0 * d)
     _check_close(k, 1.0 / _reduced_purity(s),
                  "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}")
-    # P_h from the high-frequency photon's Stokes vector, ordered as xi
-    h, v, x = _high_photon_state(s)
+    # P_h from the high-frequency photon's Stokes vector, ordered as xi;
+    # its length does not see the sign of a zero part, so the amplitudes
+    # need no conversion to complex
+    h, v, x = _high_photon_state(s.c1, s.c2, s.c3, s.c4)
     p = _degree_p((2.0 * x.real, -2.0 * x.imag, h - v))
     _check_close(k, 4.0 / (1.0 + p * p),
                  "K(D)={!r} disagrees with K(P_h) = 4/(1 + P_h^2) = {!r}")
-    lam = _spectrum(p, 4.0 * d, 4)
-    return QuquartReport(
-        schmidt_k=k,
-        i_concurrence=math.sqrt(1.0 + 2.0 * d),
-        entropy=vn_entropy(lam),
-        lambdas=tuple(lam),
-    )
+    hi, lo = _spectrum(p, 4.0 * d, 4)
+    return QuquartReport(k, math.sqrt(1.0 + 2.0 * d), _entropy(hi, lo, 4), (hi, hi, lo, lo))
 
 
 def schmidt_decompose(s):
@@ -263,27 +264,32 @@ def schmidt_decompose(s):
     (1 - P_h)/4 for f and g, bit for bit.  At call time the
     terms, dropped ones included, must rebuild A within ORACLE_TOL.
     """
-    c1, c2, c3, c4 = map(complex, (s.c1, s.c2, s.c3, s.c4))
-    h, v, x = _high_photon_state(s)
+    c1, c2, c3, c4 = complex(s.c1), complex(s.c2), complex(s.c3), complex(s.c4)
+    h, v, x = _high_photon_state(c1, c2, c3, c4)
     xi = (2.0 * x.real, -2.0 * x.imag, h - v)
     p = _degree_p(xi)
     det = _pair_determinant(s)
-    lam_hi, _, lam_lo, _ = _spectrum(p, 4.0 * abs(det) ** 2, 4)
+    lam_hi, lam_lo = _spectrum(p, 4.0 * abs(det) ** 2, 4)
     a = ((c1 * _INV_SQRT2, c2 * _INV_SQRT2), (c3 * _INV_SQRT2, c4 * _INV_SQRT2))
     e = _top_mode(xi, p)
     f = _partner(e, 1.0)
-    w = _unit(a[0][0] * e[0].conjugate() + a[1][0] * e[1].conjugate(),
-              a[0][1] * e[0].conjugate() + a[1][1] * e[1].conjugate())
+    ec0, ec1 = e[0].conjugate(), e[1].conjugate()
+    w = _unit(a[0][0] * ec0 + a[1][0] * ec1, a[0][1] * ec0 + a[1][1] * ec1)
     g = _partner(w, det / abs(det) if det else 1.0)
     _check_terms(math.sqrt(lam_hi), e, w, math.sqrt(lam_lo), f, g, a)
-    modes = []
-    for hi, lo in ((e, w), (f, g)):
-        hi0, hi1 = hi[0] * _INV_SQRT2, hi[1] * _INV_SQRT2
-        lo0, lo1 = lo[0] * _INV_SQRT2, lo[1] * _INV_SQRT2
-        modes += [(hi0, lo0, hi1, lo1), (1j * hi0, -1j * lo0, 1j * hi1, -1j * lo1)]
-    if lam_lo >= SCHMIDT_WEIGHT_CUTOFF:
-        return _decomposition([lam_hi, lam_hi, lam_lo, lam_lo], modes)
-    return _decomposition([lam_hi, lam_hi], modes[:2])
+    # each product (hi, lo) gives the columns (hi, lo)/sqrt(2) and
+    # i (hi, -lo)/sqrt(2); the rows run over (Hh, Hl, Vh, Vl)
+    e0, e1, w0, w1 = e[0] * _INV_SQRT2, e[1] * _INV_SQRT2, w[0] * _INV_SQRT2, w[1] * _INV_SQRT2
+    if lam_lo < SCHMIDT_WEIGHT_CUTOFF:
+        return _decomposition([lam_hi, lam_hi], [
+            e0 + 0j, 1j * e0 + 0j, w0 + 0j, -1j * w0 + 0j,
+            e1 + 0j, 1j * e1 + 0j, w1 + 0j, -1j * w1 + 0j])
+    f0, f1, g0, g1 = f[0] * _INV_SQRT2, f[1] * _INV_SQRT2, g[0] * _INV_SQRT2, g[1] * _INV_SQRT2
+    return _decomposition([lam_hi, lam_hi, lam_lo, lam_lo], [
+        e0 + 0j, 1j * e0 + 0j, f0 + 0j, 1j * f0 + 0j,
+        w0 + 0j, -1j * w0 + 0j, g0 + 0j, -1j * g0 + 0j,
+        e1 + 0j, 1j * e1 + 0j, f1 + 0j, 1j * f1 + 0j,
+        w1 + 0j, -1j * w1 + 0j, g1 + 0j, -1j * g1 + 0j])
 
 
 def family_psi_phi(phi):
@@ -331,8 +337,8 @@ def two_qubit_model(s):
     c2qb = 2.0 * abs(det)
     k2qb = 1.0 / (1.0 - 2.0 * d)
     # the frequency-blind reduced state is the high-frequency photon's
-    h, v, cross = _high_photon_state(s)
-    rho = np.array([[h, cross], [cross.conjugate(), v]], dtype=complex)
+    h, v, cross = _high_photon_state(complex(s.c1), complex(s.c2), complex(s.c3), complex(s.c4))
+    rho = np.array([h, cross, cross.conjugate(), v], dtype=complex).reshape(2, 2)
     # Tr(rho^2) is the squared Frobenius norm of the Hermitian rho
     _check_close(k2qb, 1.0 / (h * h + v * v + 2.0 * abs(cross) ** 2),
                  "two-qubit K={!r} disagrees with 1/Tr(rho^2)={!r}")
@@ -341,7 +347,7 @@ def two_qubit_model(s):
         raise ConsistencyError(
             f"two-qudit K={k_full!r} is not twice the two-qubit K={k2qb!r}"
         )
-    return TwoQubitModelReport(schmidt_k=k2qb, concurrence=c2qb, reduced=rho)
+    return TwoQubitModelReport(k2qb, c2qb, rho)
 
 
 # 45-degree polarizer-frame transform on (C1, C2, C3, C4): each photon turns

@@ -31,7 +31,6 @@ from .tensor import (
     SCHMIDT_WEIGHT_CUTOFF,
     ConsistencyError,
     SchmidtDecomposition,
-    vn_entropy,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -237,6 +236,11 @@ def quantify(q):
     with rho_r = M M^dagger of the 2x2 amplitude matrix
     M = [[C1, C2/sqrt(2)], [C2/sqrt(2), C3]], written out entry by entry in
     Python complex arithmetic, a route that does not pass through C.
+
+    Every value is taken in Python float and complex arithmetic, with no
+    array formed.  The entropy is tensor.vn_entropy of (lambda_+, lambda_-)
+    bit for bit, from a kernel that sums the two distinct values in its
+    order with numpy's log2.
     """
     c = concurrence(q)
     k = 2.0 / (2.0 - c * c)
@@ -247,13 +251,7 @@ def quantify(q):
     # 1 - P^2 = C^2 = 4 |det M|^2 those 1 - P loses near product states; C/2
     # is |det M| bit for bit, squared as schmidt_decompose squares it
     lam_p, lam_m = _spectrum(_degree_p(_polarization_vector(q)), 4.0 * (c / 2.0) ** 2, 2)
-    return EntanglementReport(
-        schmidt_k=k,
-        concurrence=c,
-        entropy=vn_entropy([lam_p, lam_m]),
-        lambda_plus=lam_p,
-        lambda_minus=lam_m,
-    )
+    return EntanglementReport(k, c, _entropy(lam_p, lam_m, 2), lam_p, lam_m)
 
 
 # sigma_y x sigma_y on the product basis; the minus signs sit on the
@@ -307,17 +305,17 @@ def schmidt_decompose(q):
     lam_p, lam_m = _spectrum(p, 4.0 * abs(det) ** 2, 2)
     m01 = c2 / SQRT2
     v0, v1 = _top_mode(xi, p)
-    w0, w1 = _unit(c1 * v0.conjugate() + m01 * v1.conjugate(),
-                   m01 * v0.conjugate() + c3 * v1.conjugate())
-    if (v0.conjugate() * w0 + v1.conjugate() * w1).real >= 0.0:
+    v0c, v1c = v0.conjugate(), v1.conjugate()
+    w0, w1 = _unit(c1 * v0c + m01 * v1c, m01 * v0c + c3 * v1c)
+    if (v0c * w0 + v1c * w1).real >= 0.0:
         u = _unit(v0 + w0, v1 + w1)
     else:
         u = _unit(1j * (v0 - w0), 1j * (v1 - w1))
     x = _partner(u, cmath.sqrt(det / abs(det)) if det else 1.0)
     _check_terms(math.sqrt(lam_p), u, u, math.sqrt(lam_m), x, x, ((c1, m01), (m01, c3)))
     if lam_m >= SCHMIDT_WEIGHT_CUTOFF:
-        return _decomposition([lam_p, lam_m], [u, x])
-    return _decomposition([lam_p], [u])
+        return _decomposition([lam_p, lam_m], [u[0] + 0j, x[0] + 0j, u[1] + 0j, x[1] + 0j])
+    return _decomposition([lam_p], [u[0] + 0j, u[1] + 0j])
 
 
 def _unit(a, b):
@@ -363,12 +361,13 @@ def _check_terms(s1, a, b, s2, c, d, m):
         )
 
 
-def _decomposition(lambdas, modes):
-    # modes are the single-photon mode tuples, one per term, which become
-    # the columns of one contiguous array; both photons carry the same mode,
-    # so that array serves both; + 0j turns a -0.0 part into 0.0
-    m = np.array(list(zip(*modes)), dtype=complex)
-    m += 0j
+def _decomposition(lambdas, parts):
+    # parts lists the single-photon modes row by row, one column per term,
+    # each part already + 0j, which turns a -0.0 into 0.0.  A flat list
+    # with its dtype given builds faster than nested rows or an in-place
+    # + 0j on the array.  Both photons carry the same mode, so one
+    # C-contiguous array serves both
+    m = np.array(parts, dtype=complex).reshape(-1, len(lambdas))
     return SchmidtDecomposition(lambdas, m, m)
 
 
@@ -379,8 +378,10 @@ def _polarization_vector(q):
 
 def _degree_p(xi):
     # P = |xi|, held at 1 where rounding would push a product state past it;
-    # the one P behind both quantify's lambdas and polarization's degree_p
-    return min(1.0, math.hypot(*xi))
+    # the one P behind both quantify's lambdas and polarization's degree_p.
+    # The conditionals here and in _spectrum are min(), without its call
+    p = math.hypot(*xi)
+    return p if p < 1.0 else 1.0
 
 
 def _block_purity(a, b, c, d):
@@ -398,12 +399,31 @@ def _spectrum(p, gap, d):
     # (1 - P)/d = gap/(d (1 + P)), each d/2 times, from P and gap = 1 - P^2
     # in cancellation-free form: C^2 = 4 |det M|^2 for a qutrit (d = 2),
     # 4 |C1 C4 - C2 C3|^2 for a ququart (d = 4), whose two decoupled
-    # polarization blocks share the high-frequency photon's P.  The min
-    # keeps them descending where rounding would put the small one above
-    # (1 + P)/d, near P = 0
+    # polarization blocks share the high-frequency photon's P.  Only the
+    # two distinct values come back: hi, then lo, held at hi where rounding
+    # would put it above, near P = 0
     hi = (1.0 + p) / d
-    lo = min(hi, gap / (d * (1.0 + p)))
-    return [hi] * (d // 2) + [lo] * (d // 2)
+    lo = gap / (d * (1.0 + p))
+    return hi, lo if lo < hi else hi
+
+
+def _entropy(hi, lo, d):
+    # tensor.vn_entropy of the spectrum _spectrum returns, hi then lo each
+    # d/2 times, summed in its order with numpy's log2, whose bits math.log2
+    # does not always share.  Its clip and positivity check have nothing to
+    # do: 0 <= lo <= hi <= 1.  Its sum starts at 0.0, and 0.0 + a = a and
+    # a + a = 2a are exact; a is never -0.0, since log2(1) = +0.0
+    a = hi * float(np.log2(hi))
+    if lo == hi:
+        b = a
+    elif lo > 0.0:
+        b = lo * float(np.log2(lo))
+    else:
+        b = 0.0
+    acc = a + b if d == 2 else a + a + b + b
+    # + 0.0 turns the -0.0 of a pure state into 0.0; float() keeps the
+    # entropy a Python float where numpy-scalar amplitudes make lo a numpy one
+    return float(-acc) + 0.0
 
 
 def polarization(q):
@@ -420,7 +440,8 @@ def polarization(q):
             f"C^2 + P^2 = {c * c + p * p!r} deviates from 1"
         )
     # + 0.0 turns a -0.0 component (a vanishing imaginary part) into 0.0
-    return PolarizationReport(xi=tuple(float(x) + 0.0 for x in xi), degree_p=p)
+    x, y, z = xi
+    return PolarizationReport((float(x) + 0.0, float(y) + 0.0, float(z) + 0.0), p)
 
 
 # the 45-degree polarizer frame as an integer matrix on one photon's (H, V):

@@ -127,11 +127,7 @@ def vn_entropy(eigvals, clip=1e-12):
     negative than ``-clip``; the 0*log(0) = 0 convention applies.  A NaN
     entry contributes nothing and, like numpy's min, disables the check.
     """
-    # a flat list of Python floats (what quantify passes) is taken as it is
-    if type(eigvals) is list and all(type(x) is float for x in eigvals):
-        lam = eigvals
-    else:
-        lam = np.asarray(eigvals, dtype=float).ravel().tolist()
+    lam = np.asarray(eigvals, dtype=float).ravel().tolist()
     if lam and min(lam) < -clip and not any(x != x for x in lam):
         raise ConsistencyError(
             f"eigenvalue {min(lam):.3e} below the positivity tolerance"

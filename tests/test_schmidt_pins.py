@@ -214,3 +214,44 @@ def test_schmidt_arrays_are_one_contiguous_array_without_negative_zeros(kind, ty
         parts = np.concatenate([m.real.ravel(), m.imag.ravel(), dec.lambdas])
         assert not np.signbit(parts[parts == 0.0]).any(), s
 
+
+# states on the kernel's edges, with the entropy they must print: P = 0
+# (equal eigenvalues), lambda_minus = 0 (a product qutrit, +0.0), and
+# ququarts with D = 0, whose small pair is exactly 0
+_EDGE_ENTROPY = [
+    ("qutrit", (0, 1, 0), 1.0),
+    ("qutrit", (1, 0, -1), 1.0),
+    ("qutrit", (1, 0, 0), 0.0),
+    ("qutrit", (0, 0, 1j), 0.0),
+    ("ququart", (1, 0, 0, 1), 2.0),
+    ("ququart", (1, 1, 1, -1), 2.0),
+    ("ququart", (1, 0, 0, 0), 1.0),
+    ("ququart", (1, 2j, 0, 0), 1.0),
+    ("ququart", (0.6, 0, -0.8j, 0), 1.0),
+]
+
+
+@pytest.mark.parametrize("kind, amps, entropy", _EDGE_ENTROPY)
+def test_quantify_entropy_on_the_kernel_edges(kind, amps, entropy):
+    if kind == "qutrit":
+        rep = qutrit.quantify(qutrit.make_qutrit(*amps))
+        lam = [rep.lambda_plus, rep.lambda_minus]
+    else:
+        rep = ququart.quantify(ququart.make_ququart(*amps))
+        lam = list(rep.lambdas)
+    packed = struct.pack("<d", rep.entropy)
+    assert packed == struct.pack("<d", tensor.vn_entropy(lam))
+    assert packed == struct.pack("<d", entropy)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_entropy_kernel_is_vn_entropy(d):
+    rng = np.random.default_rng(d)
+    cases = [(2.0 / d, 0.0), (1.0 / d, 1.0 / d), (0.5 + 0.5 / d, 0.5 / d)]
+    for _ in range(2000):
+        hi = (1.0 + rng.uniform()) / d
+        cases += [(hi, hi), (hi, 0.0), (hi, hi * rng.uniform()),
+                  (hi, hi * 10.0 ** rng.uniform(-300, -1))]
+    for hi, lo in cases:
+        want = tensor.vn_entropy([hi] * (d // 2) + [lo] * (d // 2))
+        assert struct.pack("<d", qutrit._entropy(hi, lo, d)) == struct.pack("<d", want), (hi, lo)
