@@ -227,9 +227,9 @@ def quantify(s):
     own entries in Python complex arithmetic, with no 4x4 array formed.
 
     Every value is taken in Python float and complex arithmetic.  The
-    entropy is tensor.vn_entropy of the four lambdas bit
-    for bit, from a kernel that sums the two distinct values, each twice,
-    in its order with numpy's log2.
+    entropy is tensor.vn_entropy of the four lambdas bit for bit, from a
+    kernel that sums the two distinct values, each twice, in its order with
+    numpy's log2.
     """
     d = abs(_pair_determinant(s)) ** 2
     k = 2.0 / (1.0 - 2.0 * d)
@@ -277,8 +277,8 @@ def schmidt_decompose(s):
     w = _unit(a[0][0] * ec0 + a[1][0] * ec1, a[0][1] * ec0 + a[1][1] * ec1)
     g = _partner(w, det / abs(det) if det else 1.0)
     _check_terms(math.sqrt(lam_hi), e, w, math.sqrt(lam_lo), f, g, a)
-    # each product (hi, lo) gives the columns (hi, lo)/sqrt(2) and
-    # i (hi, -lo)/sqrt(2); the rows run over (Hh, Hl, Vh, Vl)
+    # the product e w^T gives the columns (e, w)/sqrt(2) and i (e, -w)/sqrt(2),
+    # f g^T likewise; the rows run over (Hh, Hl, Vh, Vl)
     e0, e1, w0, w1 = e[0] * _INV_SQRT2, e[1] * _INV_SQRT2, w[0] * _INV_SQRT2, w[1] * _INV_SQRT2
     if lam_lo < SCHMIDT_WEIGHT_CUTOFF:
         return _decomposition([lam_hi, lam_hi], [
