@@ -45,6 +45,7 @@ returned, the canonical one first (lexicographically smallest phases modulo
 2 pi), the rest as alternates.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -149,10 +150,10 @@ class ReconstructionResult:
         return {
             "schema": "recon/1",
             "kind": self.kind,
-            "amplitudes": [complex_to_json(c) for c in self.state.amplitudes],
+            "amplitudes": [complex_to_json(c) for c in self.state.amplitudes.tolist()],
             "residual": self.residual,
             "alternates": [
-                [complex_to_json(c) for c in s.amplitudes] for s in self.alternates
+                [complex_to_json(c) for c in s.amplitudes.tolist()] for s in self.alternates
             ],
             "gauge": self.gauge,
             "warnings": list(self.warnings),
@@ -193,9 +194,17 @@ def magnitudes_from_record(rec):
         raise MalformedRecord("record holds no coincidences")
     if not math.isfinite(total):
         raise MalformedRecord("coincidence counts overflow their sum")
-    sq = np.bincount(probes, weights=np.array(counts) / total)
+    # np.bincount's sums and the sum of the few squares, in the same order
+    # in Python floats: the same bits, without numpy's per-call cost
+    probes = probes.tolist()
+    sq = [0.0] * (max(probes) + 1)
+    for p, v in zip(probes, counts):
+        sq[p] += v / total
+    norm = 0.0
+    for v in sq:
+        norm += v
     # the sum is 1 up to rounding; dividing by it sets the last bits
-    mags = np.sqrt(sq / float(sq.sum()))
+    mags = np.array([math.sqrt(v / norm) for v in sq])
     noise = 1.0 / math.sqrt(total) if rec.mode == "sampled" else 0.0
     est = MagnitudeEstimate(kind=kind, noise_scale=noise)
     if rec.basis == "natural":
@@ -283,7 +292,10 @@ def ququart_phase_equations(m, m45, phases):
 
 
 def _rms(eqs):
-    return np.sqrt(sum(e * e for e in eqs) / len(eqs))
+    total = eqs[0] * eqs[0]
+    for e in eqs[1:]:
+        total = total + e * e
+    return np.sqrt(total / len(eqs))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +334,37 @@ def _acos(x):
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
+def _acos1(x):
+    # _acos of one finite number, without np.clip's array set-up
+    return float(np.arccos(min(1.0, max(-1.0, x))))
+
+
+@functools.lru_cache(maxsize=64)
+def _system_layout(forms_key, eq, n_eq, basis_key):
+    """The parts of _cosine_system's [r | J] map that no record changes.
+
+    Returns the flat slots of to_rj that a system writes, the term of each
+    and its weight, so that coef[term] * weight are the slots' values bit
+    for bit: the Jacobian slots are -(coef * one-hot) * (forms @ basis.T),
+    products of exact small integers whose signs and zeros follow coef's.
+    """
+    forms, basis = (np.frombuffer(b, dtype).reshape(shape)
+                    for dtype, shape, b in (forms_key, basis_key))
+    n_terms, width = len(forms), 1 + len(basis)
+    weight = np.zeros((2, n_terms, n_eq, width))
+    weight[0, ..., 0] = np.eye(n_eq)[list(eq)]
+    weight[1, ..., 1:] = -weight[0, ..., :1] * (forms @ basis.T)[:, None, :]
+    written = np.zeros(weight.shape, dtype=bool)
+    written[0, ..., 0] = written[1, ..., 1:] = True
+    slots = np.flatnonzero(written)
+    term = np.broadcast_to(np.arange(n_terms)[:, None, None], weight.shape).reshape(-1)
+    return slots, term[slots], weight.reshape(-1)[slots], weight.size
+
+
+def _array_key(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def _cosine_system(coef, forms, eq, rhs, basis):
     """Residuals and Jacobian of a system of cosine equations, as one array.
 
@@ -332,11 +375,13 @@ def _cosine_system(coef, forms, eq, rhs, basis):
     term, in one product per row, so that no row's bits depend on its batch.
     The angles are taken from the phases, so they are those of the public
     equations bit for bit (at a critical point of e2, where some sines are
-    pure rounding, those bits set the first step).
+    pure rounding, those bits set the first step).  What does not depend on
+    coef and rhs is built once per (forms, eq, basis), in _system_layout.
     """
-    to_rj = np.zeros((2, len(coef), len(rhs), 1 + len(basis)))
-    to_rj[0, ..., 0] = coef[:, None] * np.eye(len(rhs))[list(eq)]
-    to_rj[1, ..., 1:] = -to_rj[0, ..., :1] * (forms @ basis.T)[:, None, :]
+    slots, term, weight, size = _system_layout(_array_key(forms), tuple(eq), len(rhs),
+                                               _array_key(basis))
+    to_rj = np.zeros(size)
+    to_rj[slots] = coef[term] * weight
     to_rj, to_angle = to_rj.reshape(2 * len(coef), -1), forms.T
     offset = np.zeros(to_rj.shape[1])
     offset[::1 + len(basis)] = rhs
@@ -406,6 +451,18 @@ def _frame_terms(kind, m, n):
             f.combos @ (n * n) - (f.diag @ (m * m) + f.const))
 
 
+def _gram(rj):
+    return np.ascontiguousarray(rj.transpose(0, 2, 1)) @ rj
+
+
+def _step(gram, damping, eye):
+    # the damping is relative to J^T J's size (its trace); its floors keep
+    # J^T J positive definite at a double root or J = 0, as solve1 needs
+    jtj = gram[:, 1:, 1:]
+    shift = damping * jtj.trace(axis1=1, axis2=2) + 1e-30
+    return _solve1(jtj + shift[:, None, None] * eye, gram[:, 1:, 0])
+
+
 def _polish(fun, x):
     """Damped Gauss-Newton (Levenberg) steps on a batch of starting points.
 
@@ -413,30 +470,33 @@ def _polish(fun, x):
     phases, its damping and G = [r | J]^T [r | J].  A step is kept where it
     lowers r.r = G[0, 0]; the damping then shrinks, else it grows.  Each row
     stops on its own step and leaves the batch, as it would polished alone.
+    When no first step moves a phase by STEP_TOL, as at exact closed-form
+    roots, the rows come back as they went in, after one evaluation.
     """
-    x = out = np.array(x, dtype=float)
-    live, damping, eye = np.arange(len(x)), np.full(len(x), 1e-3), np.eye(x.shape[1])
-    rj = fun(x)
-    gram = np.ascontiguousarray(rj.transpose(0, 2, 1)) @ rj
+    x = np.array(x, dtype=float)
+    eye = np.eye(x.shape[1])
+    gram = _gram(fun(x))
+    step = _step(gram, 1e-3, eye)
+    big = np.abs(step) >= STEP_TOL
+    if not big.any():
+        return x
+    out, live, damping = x.copy(), np.arange(len(x)), np.full(len(x), 1e-3)
     for _ in range(POLISH_STEPS):
-        # the damping is relative to J^T J's size (its trace); its floors keep
-        # J^T J positive definite at a double root or J = 0, as solve1 needs
-        shift = damping * gram[:, 1:, 1:].trace(axis1=1, axis2=2) + 1e-30
-        step = _solve1(gram[:, 1:, 1:] + shift[:, None, None] * eye, gram[:, 1:, 0])
-        moving = (np.abs(step) >= STEP_TOL).any(axis=1)
+        moving = big.any(axis=1)
         if not moving.all():
             out[live] = x
             live, x, gram, damping, step = (a[moving] for a in (live, x, gram, damping, step))
             if not len(live):
-                break
+                return out
         # wrapped, so a long step across a near-singular J keeps the phases precise
         x_new = _wrap(x - step)
-        rj = fun(x_new)
-        gram_new = np.ascontiguousarray(rj.transpose(0, 2, 1)) @ rj
+        gram_new = _gram(fun(x_new))
         ok = gram_new[:, 0, 0] < gram[:, 0, 0]
         x, gram = np.where(ok[:, None], x_new, x), np.where(ok[:, None, None], gram_new, gram)
         damping *= np.where(ok, 0.1, 10.0)
         np.maximum(damping, 1e-14, out=damping, where=ok)
+        step = _step(gram, damping, eye)
+        big = np.abs(step) >= STEP_TOL
     out[live] = x
     return out
 
@@ -451,23 +511,27 @@ def _rank_solutions(phases, rms, noise_scale, amplitudes):
     duplicate when it overlaps a row of smaller residual already kept.
     Raises Inconsistent when nothing survives the residual ceiling.  Returns
     (amplitude row, residual, display_phases) entries in canonical order
-    (lexicographically smallest display phases modulo 2 pi).
+    (lexicographically smallest display phases modulo 2 pi), the rows as
+    lists of Python complex numbers.
     """
-    best = float(np.min(rms))
+    rms = rms.tolist()
+    best = min(rms)
     if best > RESIDUAL_CEILING:
         raise Inconsistent(
             f"no phase assignment fits the records (best rms mismatch {best:.4g})",
             best_residual=best,
         )
-    keep = np.flatnonzero(rms <= _keep_threshold(best, noise_scale))
-    keep = keep[np.argsort(rms[keep], kind="stable")]
+    cut = _keep_threshold(best, noise_scale)
+    # a stable sort by residual, as np.argsort(kind="stable") orders them
+    keep = sorted((i for i, r in enumerate(rms) if r <= cut), key=rms.__getitem__)
     rows = amplitudes(phases[keep])
     same = (np.abs(rows.conj() @ rows.T) >= 1.0 - OVERLAP_DEDUPE).tolist()
     kept = []
     for i in range(len(keep)):
         if not any(same[j][i] for j in kept):
             kept.append(i)
-    out = [(rows[i], float(rms[keep[i]]), tuple(phases[keep[i]].tolist())) for i in kept]
+    rows, phases = rows.tolist(), phases.tolist()
+    out = [(rows[i], rms[keep[i]], tuple(phases[keep[i]])) for i in kept]
     out.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
     return out
 
@@ -485,7 +549,7 @@ def _prepare(est, kind):
     # the tolerance of QutritState and QuquartState; NaN fails too
     if not (abs(m @ m - 1.0) <= 1e-9 and abs(n @ n - 1.0) <= 1e-9):
         raise ValueError("magnitude estimates must have unit squared sums")
-    return m, n, m < _zero_threshold(est)
+    return m, n, (m < _zero_threshold(est)).tolist()
 
 
 def _pinned_warning(zero):
@@ -530,21 +594,31 @@ def _qutrit_candidates(m, coef, rhs, free):
     z = |C3| + |C1| e^{i delta}.  With one pinned to 0, both equations are
     linear in the cosine of the free phase.  Noise is clipped into range.
     """
-    m1, m2, m3 = m
     if not free:
         return np.zeros((1, 0))
     if len(free) == 2:
+        # one row at a time, through the ufuncs and the complex scalar type
+        # of the array code, so every row keeps its bits
+        m1, m2, m3 = m.tolist()
         out = []
-        for delta in np.array([1.0, -1.0]) * _acos(rhs[0] / coef[0]):
+        span = _acos1(rhs[0] / coef[0])
+        for delta in (span, -span):
             z = m3 + m1 * np.exp(1j * delta)
-            beta = _acos(rhs[1] / (SQRT2 * m2 * max(abs(z), 1e-300)))
-            out += [(phi3 + delta, phi3) for phi3 in (beta - np.angle(z), -beta - np.angle(z))]
+            arg = np.arctan2(z.imag, z.real)
+            beta = _acos1(rhs[1] / (SQRT2 * m2 * max(abs(z), 1e-300)))
+            out += [(phi3 + delta, phi3) for phi3 in (beta - arg, -beta - arg)]
         return np.array(out)
     # e1 = coef[0] cos x - rhs[0] and e2 = coef[t] cos x + coef[3 - t] - rhs[1]
     # for the free phase's term t; take the least-squares cos x
     t = 1 + free[0]
     a, b = coef[[0, t]], np.array([rhs[0], rhs[1] - coef[3 - t]])
-    return np.array([[1.0], [-1.0]]) * _acos(a @ b / (a @ a))
+    span = _acos1(a @ b / (a @ a))
+    return np.array([[span], [-span]])
+
+
+# the qutrit's free phases (phi1, phi3) as rows of the basis, by the slots
+# that are free
+_QUTRIT_BASES = {free: np.eye(2)[list(free)] for free in ((), (0,), (1,), (0, 1))}
 
 
 def qutrit_phases(est):
@@ -563,8 +637,12 @@ def qutrit_phases(est):
     m, n, zero = _prepare(est, "qutrit")
     coef, forms, eq, rhs = terms = _frame_terms("qutrit", m, n)
 
+    # as Python floats the magnitudes give the products numpy scalars give,
+    # at a fraction of the cost
+    mags = m.tolist(), n.tolist()
+
     def equations(phi):
-        return qutrit_phase_equations(m, n, *phi)
+        return qutrit_phase_equations(*mags, *phi)
 
     def amplitudes(phi):
         # C2 keeps phase 0, so it stays real in its column
@@ -572,11 +650,12 @@ def qutrit_phases(est):
         phases[:, 0::2] = phi
         return m * np.exp(1j * phases)
 
-    if zero[1] and not zero[0] and not zero[2]:
+    z1, z2, z3 = zero
+    if z2 and not z1 and not z3:
         # no interference term: only cos(phi1 - phi3) is fixed, sign and all.
         # The fit drops C2's terms, as fitting e2 would fit noise against the
         # arbitrary tie phi1 + phi3 = 0
-        psi = float(_acos(rhs[0] / coef[0]))
+        psi = _acos1(rhs[0] / coef[0])
         result = _solve(est, np.array([[1.0, -1.0]]), [[psi / 2.0], [-psi / 2.0]],
                         (coef * [1.0, 0.0, 0.0], forms, eq, rhs), equations, amplitudes,
                         "phi3 = -phi1 (C2 below threshold)",
@@ -587,11 +666,11 @@ def qutrit_phases(est):
 
     # a phase is solvable only when its amplitude and an interference partner
     # both survive the threshold
-    a1 = (not zero[0]) and (not zero[1] or not zero[2])
-    a3 = (not zero[2]) and (not zero[1] or not zero[0])
+    a1 = (not z1) and (not z2 or not z3)
+    a3 = (not z3) and (not z2 or not z1)
     free = [slot for slot, act in ((0, a1), (1, a3)) if act]
-    return _solve(est, np.eye(2)[free], _qutrit_candidates(m, coef, rhs, free), terms,
-                  equations, amplitudes, "phi2 = 0 (C2 real non-negative)",
+    return _solve(est, _QUTRIT_BASES[tuple(free)], _qutrit_candidates(m, coef, rhs, free),
+                  terms, equations, amplitudes, "phi2 = 0 (C2 real non-negative)",
                   _pinned_warning(zero))
 
 
@@ -699,14 +778,16 @@ def ququart_phases(est):
     active = [i for i in range(4) if not zero[i]]
 
     names = "+".join(f"phi{i + 1}" for i in active)
-    gauge = (f"{names} = 0, phases of below-threshold amplitudes pinned to 0" if zero.any()
+    gauge = (f"{names} = 0, phases of below-threshold amplitudes pinned to 0" if any(zero)
              else "phi1 + phi2 + phi3 + phi4 = 0")
     # the first len(active) - 1 present phases are free, the last one
     # balances the sum to zero
     basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
 
+    mags = m.tolist(), n.tolist()
+
     def equations(p):
-        return ququart_phase_equations(m, n, p)
+        return ququart_phase_equations(*mags, p)
 
     x0 = _ququart_candidates(m, terms[3], active)
     if est.noise_scale == 0.0:
@@ -715,7 +796,7 @@ def ququart_phases(est):
             x0 = x0[start < NEAR_ROOT_RMS]
     result = _solve(est, basis, x0, terms, equations, lambda p: m * np.exp(1j * p), gauge,
                     _pinned_warning(zero))
-    if zero.any():
+    if any(zero):
         raise PhaseUnobservable("amplitudes below threshold leave some phase "
                                 "combinations unobservable", result=result)
     return result
