@@ -194,17 +194,9 @@ def magnitudes_from_record(rec):
         raise MalformedRecord("record holds no coincidences")
     if not math.isfinite(total):
         raise MalformedRecord("coincidence counts overflow their sum")
-    # np.bincount's sums and the sum of the few squares, in the same order
-    # in Python floats: the same bits, without numpy's per-call cost
-    probes = probes.tolist()
-    sq = [0.0] * (max(probes) + 1)
-    for p, v in zip(probes, counts):
-        sq[p] += v / total
-    norm = 0.0
-    for v in sq:
-        norm += v
+    sq = np.bincount(probes, weights=np.array(counts) / total)
     # the sum is 1 up to rounding; dividing by it sets the last bits
-    mags = np.array([math.sqrt(v / norm) for v in sq])
+    mags = np.sqrt(sq / float(sq.sum()))
     noise = 1.0 / math.sqrt(total) if rec.mode == "sampled" else 0.0
     est = MagnitudeEstimate(kind=kind, noise_scale=noise)
     if rec.basis == "natural":
@@ -292,10 +284,7 @@ def ququart_phase_equations(m, m45, phases):
 
 
 def _rms(eqs):
-    total = eqs[0] * eqs[0]
-    for e in eqs[1:]:
-        total = total + e * e
-    return np.sqrt(total / len(eqs))
+    return np.sqrt(sum(e * e for e in eqs) / len(eqs))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +330,15 @@ def _acos1(x):
 
 @functools.lru_cache(maxsize=64)
 def _system_layout(forms_key, eq, n_eq, basis_key):
-    """The parts of _cosine_system's [r | J] map that no record changes.
+    """The parts of _cosine_system's map to [r | J] that no record changes.
 
-    Returns the flat slots of to_rj that a system writes, the term of each
-    and its weight, so that coef[term] * weight are the slots' values bit
-    for bit: the Jacobian slots are -(coef * one-hot) * (forms @ basis.T),
-    products of exact small integers whose signs and zeros follow coef's.
+    The keys hold forms and basis as (dtype, shape, bytes).  Returns the
+    flat slots of to_rj that a system writes, the term of each slot, its
+    weight and the size of to_rj.  Every slot is a product of coef[term]
+    with exact small integers: coef one-hot for the residuals, and
+    -(coef one-hot) (forms @ basis.T) for the Jacobian.  So
+    coef[term] * weight is each slot's value bit for bit, the signs of its
+    zeros included; the other slots stay +0.
     """
     forms, basis = (np.frombuffer(b, dtype).reshape(shape)
                     for dtype, shape, b in (forms_key, basis_key))
@@ -522,7 +514,7 @@ def _rank_solutions(phases, rms, noise_scale, amplitudes):
             best_residual=best,
         )
     cut = _keep_threshold(best, noise_scale)
-    # a stable sort by residual, as np.argsort(kind="stable") orders them
+    # in residual order; sorted() is stable, so equal residuals keep row order
     keep = sorted((i for i, r in enumerate(rms) if r <= cut), key=rms.__getitem__)
     rows = amplitudes(phases[keep])
     same = (np.abs(rows.conj() @ rows.T) >= 1.0 - OVERLAP_DEDUPE).tolist()
@@ -532,7 +524,7 @@ def _rank_solutions(phases, rms, noise_scale, amplitudes):
             kept.append(i)
     rows, phases = rows.tolist(), phases.tolist()
     out = [(rows[i], rms[keep[i]], tuple(phases[keep[i]])) for i in kept]
-    out.sort(key=lambda e: tuple(round(p % TWO_PI, 9) for p in e[2]))
+    out.sort(key=lambda e: [round(p % TWO_PI, 9) for p in e[2]])
     return out
 
 
@@ -616,8 +608,8 @@ def _qutrit_candidates(m, coef, rhs, free):
     return np.array([[span], [-span]])
 
 
-# the qutrit's free phases (phi1, phi3) as rows of the basis, by the slots
-# that are free
+# the bases of the qutrit's free phases, keyed by the free slots (0 for
+# phi1, 1 for phi3)
 _QUTRIT_BASES = {free: np.eye(2)[list(free)] for free in ((), (0,), (1,), (0, 1))}
 
 

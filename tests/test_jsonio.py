@@ -133,23 +133,52 @@ numbers = st.one_of(
     st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=3).map(np.array),
     st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array),
 )
-documents = st.recursive(
-    numbers,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(st.one_of(text, text.map(np.str_)), inner, max_size=4)),
-    max_leaves=20,
+# a float as a result document may hold one: a Python float, -0.0, a numpy
+# float64, or a bool beside the floats
+part = st.one_of(finite, st.just(-0.0), finite.map(np.float64), st.booleans())
+amplitude = st.one_of(
+    st.fixed_dictionaries({"re": part, "im": part}),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+)
+solution = st.lists(amplitude, min_size=3, max_size=4)
+solution = st.one_of(solution, solution.map(tuple))
+
+
+def recon_documents(residual):
+    """recon/1-shaped documents: amplitudes, nested alternates, warnings."""
+    return st.fixed_dictionaries({
+        "schema": st.just("recon/1"), "kind": st.sampled_from(["qutrit", "ququart"]),
+        "amplitudes": solution, "residual": residual,
+        "alternates": st.one_of(st.lists(solution, max_size=3),
+                                st.lists(solution, max_size=3).map(tuple)),
+        "gauge": text, "warnings": st.lists(text, max_size=2),
+    })
+
+
+documents = st.one_of(
+    st.recursive(
+        numbers,
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.lists(inner, max_size=4).map(tuple),
+                                st.dictionaries(st.one_of(text, text.map(np.str_)), inner,
+                                                max_size=4)),
+        max_leaves=20,
+    ),
+    recon_documents(part),
 )
 # each leaf that cannot be written: non-finite numbers, an unknown type,
 # and an object whose keys are not all strings
 unwritable = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
                               complex(0, math.inf), np.array([1.0, math.nan]), object(), {1, 2},
                               b"x", {1: 2}, {"a": 1, 2: 3}])
-documents_with_errors = st.recursive(
-    st.one_of(numbers, unwritable),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(text, inner, max_size=4)),
-    max_leaves=12,
+documents_with_errors = st.one_of(
+    st.recursive(
+        st.one_of(numbers, unwritable),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(text, inner, max_size=4)),
+        max_leaves=12,
+    ),
+    recon_documents(st.one_of(part, unwritable)),
 )
 REFERENCE = settings(max_examples=300, deadline=None, derandomize=True)
 

@@ -2,6 +2,7 @@
 magnitude extraction, phase retrieval with its ambiguity classes, and the
 real-coefficient shortcut formulas."""
 
+import itertools
 import math
 import warnings
 
@@ -1123,3 +1124,87 @@ def test_polish_leaves_rows_where_the_jacobian_vanishes():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert np.array_equal(reconstruct._polish(fun, x0), x0)
+
+
+def reference_cosine_system(coef, forms, eq, rhs, basis):
+    # _cosine_system as it was, building every part of to_rj on each call
+    to_rj = np.zeros((2, len(coef), len(rhs), 1 + len(basis)))
+    to_rj[0, ..., 0] = coef[:, None] * np.eye(len(rhs))[list(eq)]
+    to_rj[1, ..., 1:] = -to_rj[0, ..., :1] * (forms @ basis.T)[:, None, :]
+    to_rj, to_angle = to_rj.reshape(2 * len(coef), -1), forms.T
+    offset = np.zeros(to_rj.shape[1])
+    offset[::1 + len(basis)] = rhs
+
+    def fun(x):
+        theta = (x @ basis) @ to_angle
+        rj = np.concatenate([np.cos(theta), np.sin(theta)], axis=1)[:, None] @ to_rj - offset
+        return rj.reshape(len(x), len(rhs), 1 + len(basis))
+
+    return fun
+
+
+def solver_bases(kind):
+    """Every basis the solver builds for a kind."""
+    if kind == "qutrit":
+        # both phases free, one, none, and the tie phi3 = -phi1 of C2 below
+        # the threshold
+        return list(reconstruct._QUTRIT_BASES.values()) + [np.array([[1.0, -1.0]])]
+    return [np.eye(4)[list(active[:-1])] - np.eye(4)[active[-1]]
+            for size in range(1, 5) for active in itertools.combinations(range(4), size)]
+
+
+@pytest.mark.parametrize("kind, dim", [("qutrit", 3), ("ququart", 4)])
+def test_cosine_system_equals_the_per_call_build_bit_for_bit(kind, dim):
+    gen = np.random.default_rng(43)
+    bases = solver_bases(kind)
+    assert len(bases) == (5 if kind == "qutrit" else 15)
+    for family in ["generic"] * 40 + ["zero"] * 10 + ["tiny"] * 10:
+        m, n = unit_magnitudes(gen, dim, family), unit_magnitudes(gen, dim, family)
+        coef, forms, eq, rhs = reconstruct._frame_terms(kind, m, n)
+        # the C2-below-threshold fit drops C2's terms, leaving signed zeros;
+        # with every coefficient and right-hand side zero, the sums are zeros
+        # whose signs come from every slot
+        cases = [(coef, rhs), (coef * 0.0, rhs * 0.0)]
+        if kind == "qutrit":
+            cases.append((coef * [1.0, 0.0, 0.0], rhs))
+        for c, r in cases:
+            for basis in bases:
+                x = gen.uniform(-math.pi, math.pi, size=(6, len(basis)))
+                # exact zeros of both signs reach the angles too
+                x[0], x[1] = 0.0, -0.0
+                got = reconstruct._cosine_system(c, forms, eq, r, basis)(x)
+                want = reference_cosine_system(c, forms, eq, r, basis)(x)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_polish_returns_rows_unchanged_when_no_first_step_moves():
+    # exact closed-form qutrit roots: the first step of every row is below
+    # STEP_TOL, so the rows come back bit for bit after one evaluation
+    gen = np.random.default_rng(47)
+    polished = 0
+    for i in range(60):
+        c = gen.normal(size=3) + 1j * gen.normal(size=3)
+        if i % 3 == 2:
+            c[0] = 0.0
+        est = ideal_estimate(qutrit.make_qutrit(*c))
+        m, n = est.magnitudes, est.magnitudes45
+        free = [0, 1] if c[0] else [1]
+        basis = np.eye(2)[free]
+        coef, forms, eq, rhs = terms = reconstruct._frame_terms("qutrit", m, n)
+        x0 = reconstruct._qutrit_candidates(m, coef, rhs, free)
+        fun = reconstruct._cosine_system(*terms, basis)
+        rj = fun(x0)
+        gram = rj.transpose(0, 2, 1) @ rj
+        jtj = gram[:, 1:, 1:]
+        shift = 1e-3 * np.trace(jtj, axis1=1, axis2=2) + 1e-30
+        first = np.linalg.solve(jtj + shift[:, None, None] * np.eye(len(free)),
+                                gram[:, 1:, :1])
+        if np.max(np.abs(first)) >= 1e-3 * reconstruct.STEP_TOL:
+            continue
+        sizes = []
+        out = reconstruct._polish(count_batches(fun, sizes), x0)
+        assert sizes == [len(x0)]
+        assert np.array_equal(out.view(np.int64), x0.view(np.int64))
+        polished += 1
+    assert polished >= 55
