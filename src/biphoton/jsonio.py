@@ -30,54 +30,33 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _emit(o, out):
-    # the exact types a result document is made of first, then everything
-    # else, subclasses of these included
+    # the exact types a result document is made of first, then isinstance,
+    # which also takes their subclasses and numpy's types; no type is both a
+    # container and a scalar, so the order decides nothing else
     t = type(o)
     if t is float:
         # format_float without its conversion; it raises for the rest
         out.append("%.17g" % o if math.isfinite(o) else format_float(o))
-    elif t is dict:
-        _emit_dict(o, out)
-    elif t is list:
-        _emit_list(o, out)
     elif t is str:
         out.append(_encode_str(o))
-    else:
-        _emit_other(o, out)
-
-
-def _emit_dict(o, out):
-    # every key before sorting, which fails on mixed types
-    for key in o:
-        if not isinstance(key, str):
-            raise TypeError(f"JSON object keys must be strings, got {key!r}")
-    sep = "{"
-    for key in sorted(o):
-        out.append(f"{sep}{_encode_str(key)}:")
-        _emit(o[key], out)
-        sep = ","
-    out.append("}" if sep == "," else "{}")
-
-
-def _emit_list(seq, out):
-    sep = "["
-    for item in seq:
-        out.append(sep)
-        _emit(item, out)
-        sep = ","
-    out.append("]" if sep == "," else "[]")
-
-
-def _emit_other(o, out):
-    # no type is both a container and a scalar, so the order of the
-    # containers and the scalars decides nothing; bool before int, of which
-    # it is a subclass
-    if isinstance(o, dict):
-        _emit_dict(o, out)
-    elif isinstance(o, (list, tuple)):
-        _emit_list(o, out)
-    elif isinstance(o, np.ndarray):
-        _emit_list(o.tolist(), out)
+    elif t is dict or isinstance(o, dict):
+        # every key before sorting, which fails on mixed types
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        sep = "{"
+        for key in sorted(o):
+            out.append(f"{sep}{_encode_str(key)}:")
+            _emit(o[key], out)
+            sep = ","
+        out.append("}" if sep == "," else "{}")
+    elif t is list or isinstance(o, (list, tuple, np.ndarray)):
+        sep = "["
+        for item in o.tolist() if isinstance(o, np.ndarray) else o:
+            out.append(sep)
+            _emit(item, out)
+            sep = ","
+        out.append("]" if sep == "," else "[]")
     elif isinstance(o, str):
         out.append(_encode_str(o))
     elif isinstance(o, bool):
@@ -89,7 +68,7 @@ def _emit_other(o, out):
     elif isinstance(o, (float, np.floating)):
         out.append(format_float(o))
     elif isinstance(o, (complex, np.complexfloating)):
-        _emit_dict({"re": float(o.real), "im": float(o.imag)}, out)
+        _emit({"re": float(o.real), "im": float(o.imag)}, out)
     else:
         raise TypeError(f"cannot serialize {type(o).__name__}")
 
