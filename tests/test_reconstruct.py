@@ -1208,3 +1208,149 @@ def test_polish_returns_rows_unchanged_when_no_first_step_moves():
         assert np.array_equal(out.view(np.int64), x0.view(np.int64))
         polished += 1
     assert polished >= 55
+
+
+# ---------------------------------------------------------------------------
+# the ququart candidate stage, against a copy of its first form
+
+def reference_w_system(m, rhs, u, v):
+    m1, m2, m3, m4 = m
+    a11, a12 = m1 * m3 + m2 * m4 * np.cos(v - u), -m2 * m4 * np.sin(v - u)
+    a21 = m1 * m4 * np.cos(v) + m2 * m3 * np.cos(u)
+    a22 = m2 * m3 * np.sin(u) - m1 * m4 * np.sin(v)
+    adj = (a22 * rhs[0] - a12 * rhs[2], a11 * rhs[2] - a21 * rhs[0])
+    return (a11, a12), (a21, a22), adj, a11 * a22 - a12 * a21
+
+
+def reference_acos(x):
+    return np.arccos(np.clip(x, -1.0, 1.0))
+
+
+def reference_curve_roots(m, rhs):
+    # _curve_roots as it was: two gap passes of 16 samples, np.roots, tile
+    coef = (m[0] * m[1], m[2] * m[3])
+    free = int(coef[1] < coef[0])
+    a, b = coef[free], coef[1 - free]
+
+    def gap(t, d):
+        u, v = (t, d) if free == 0 else (d, t)
+        _, _, (c, s), det = reference_w_system(m, rhs, u, v)
+        return c * c + s * s - det * det
+
+    t = np.arange(16) * (2.0 * math.pi / 16)
+    d = np.arccos((rhs[1] - a * np.cos(t)) / b + 0j)
+    h = np.fft.fft((gap(t, d) * gap(t, -d)).real)[np.arange(4, -5, -1)]
+    t = np.angle(np.roots(h)) if np.isfinite(h).all() else np.zeros(0)
+    d = reference_acos((rhs[1] - a * np.cos(t)) / b)
+    t, d = np.tile(t, 2), np.concatenate([d, -d])
+    return (t, d) if free == 0 else (d, t)
+
+
+def reference_ququart_candidates(m, rhs, active):
+    # _ququart_candidates as it was: the full _w_system, tile and stack
+    if len(active) == 4:
+        u, v = reference_curve_roots(m, rhs)
+        u = np.concatenate([u, [0.0, 0.0, math.pi, math.pi]])
+        v = np.concatenate([v, [0.0, math.pi, 0.0, math.pi]])
+        row1, row3, _, _ = reference_w_system(m, rhs, u, v)
+        first = np.hypot(*row1) >= np.hypot(*row3)
+        a, b = np.where(first, row1[0], row3[0]), np.where(first, row1[1], row3[1])
+        span = reference_acos(np.where(first, rhs[0], rhs[2])
+                              / np.maximum(np.hypot(a, b), 1e-300))
+        w = np.tile(np.arctan2(b, a), 2) + np.concatenate([span, -span])
+        u, v = np.tile(u, 2), np.tile(v, 2)
+        p1 = 0.25 * (u + v + 2.0 * w)
+        return np.stack([p1, p1 - u, p1 - w], axis=-1)
+    lead, rest = active[0], active[1:]
+    equation = {(0, 2): 0, (1, 3): 0, (0, 1): 1, (2, 3): 1, (0, 3): 2, (1, 2): 2}
+    span = [float(reference_acos(rhs[equation[lead, j]] / (m[lead] * m[j]))) for j in rest]
+    phases = np.zeros((4 ** len(rest), 4))
+    phases[:, rest] = list(itertools.product(*((s, -s, 0.0, math.pi) for s in span)))
+    phases[:, active] -= phases[:, active].mean(axis=1, keepdims=True)
+    return phases[:, active[:-1]]
+
+
+def reference_polished_rows(est, active, x0):
+    # the rows ququart_phases polished: for noise-free records whose best
+    # row starts at a root, the rows near one
+    if est.noise_scale != 0.0:
+        return x0
+    basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
+    p = list((x0 @ basis).T)
+    start = reference_rms(reconstruct.ququart_phase_equations(
+        est.magnitudes.tolist(), est.magnitudes45.tolist(), p))
+    return x0[start < reconstruct.NEAR_ROOT_RMS] if start.min() < reconstruct.ROOT_START_RMS else x0
+
+
+def reference_rms(eqs):
+    return np.sqrt(sum(e * e for e in eqs) / len(eqs))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def candidate_stage_cases():
+    """(name, state amplitudes, sampled record seed or None)."""
+    gen = np.random.default_rng(5)
+    cases = []
+    for i in range(30):
+        c = gen.normal(size=4) + 1j * gen.normal(size=4)
+        cases += [(f"haar-{i}", c, None), (f"haar-{i}-sampled", c, 2 * i)]
+    cases += [(f"real-{i}", c, None) for i, c in enumerate(real_states(15, 4, 13))]
+    cases += [(f"real-{i}-sampled", c, 40 + 2 * i) for i, c in enumerate(real_states(5, 4, 14))]
+    cases += [
+        ("crowded-roots", criterion_8_ququart(71), None),
+        ("no-row-at-a-root", (-0.381 - 0.281j, 0.508 + 0.392j, 0.289 + 0.269j,
+                              -0.346 - 0.297j), None),
+        # equal magnitudes but for a phase or a last bit; the two curve
+        # coefficients tie or swap by a rounding
+        ("near-equal-phase", (1.0, 1.0, 1.0, -np.exp(1e-7j)), None),
+        ("near-equal-phase-sampled", (1.0, 1.0, 1.0, -np.exp(1e-3j)), 7),
+        ("near-tie", (0.5, 0.5, 0.5 + 1e-13, 0.5j), None),
+        ("near-product", (1.0, 1e-3, 1e-3 + 1e-4j, 1e-6), None),
+        # the continuum states: every (u, v) on a curve solves, and the
+        # harmonics are rounding noise
+        ("continuum-bell", (0.5, 0.5, 0.5, -0.5), None),
+        ("continuum-real", (0.6, -0.3, 0.5, 0.2), None),
+        ("continuum-real-sampled", (0.6, -0.3, 0.5, 0.2), 9),
+    ]
+    # every zero-amplitude branch: each set of present amplitudes, from
+    # ideal and from sampled records, and one amplitude below the sampled
+    # threshold but not zero
+    for size in range(1, 4):
+        for active in itertools.combinations(range(4), size):
+            c = np.zeros(4, dtype=complex)
+            c[list(active)] = gen.normal(size=size) + 1j * gen.normal(size=size)
+            name = "present-" + "".join(str(i + 1) for i in active)
+            cases += [(name, c, None), (name + "-sampled", c, 60 + size)]
+    cases.append(("tiny-sampled", (0.6 + 0.1j, 0.5, 1e-4, -0.4 + 0.3j), 11))
+    return cases
+
+
+@pytest.mark.parametrize("name, amps, seed", candidate_stage_cases(),
+                         ids=[case[0] for case in candidate_stage_cases()])
+def test_ququart_candidate_stage_equals_its_first_form_bit_for_bit(monkeypatch, name, amps,
+                                                                   seed):
+    # the root order follows np.roots, so the reference is a copy of the
+    # first form run on the same numpy, not pinned digests
+    s = ququart.make_ququart(*amps)
+    est = ideal_estimate(s) if seed is None else sampled_estimate(s, seed)
+    m, n = est.magnitudes, est.magnitudes45
+    rhs = reconstruct._frame_terms("ququart", m, n)[3]
+    active = [i for i in range(4) if m[i] >= reconstruct._zero_threshold(est)]
+    if len(active) == 4:
+        for got, want in zip(reconstruct._curve_roots(m, rhs), reference_curve_roots(m, rhs)):
+            assert same_bits(got, want)
+    x0 = reconstruct._ququart_candidates(m, rhs, active)
+    want = reference_ququart_candidates(m, rhs, active)
+    assert same_bits(x0, want)
+    calls = record_polish_calls(monkeypatch)
+    try:
+        reconstruct.ququart_phases(est)
+    except reconstruct.PhaseUnobservable:
+        pass
+    (_, polished, _), = calls
+    assert same_bits(polished, reference_polished_rows(est, active, want))
