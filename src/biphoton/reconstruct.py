@@ -55,6 +55,8 @@ import numpy as np
 # the stacked gufunc behind np.linalg.solve, called without the wrapper's
 # per-call checks and copies
 from numpy.linalg._umath_linalg import solve1 as _solve1
+# and the one behind np.linalg.eigvals, which _roots calls the same way
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .jsonio import complex_to_json
 from .measurement import BASES, KINDS, NOISE_MODES
@@ -320,7 +322,8 @@ def _wrap(x):
 
 
 def _acos(x):
-    return np.arccos(np.clip(x, -1.0, 1.0))
+    # np.clip's values, NaN included, without its per-call set-up
+    return np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
 
 
 def _acos1(x):
@@ -550,19 +553,20 @@ def _pinned_warning(zero):
             if pinned else [])
 
 
-def _solve(est, basis, x0, terms, equations, amplitudes, gauge, warnings):
+def _solve(est, basis, x0, terms, residuals, amplitudes, gauge, warnings):
     """Polish the candidate rows x0, rank the results and build the result.
 
     terms = (coef, forms, eq, rhs) describe the cosine system (see
     _cosine_system) in the phases, which are x @ basis, so pinned phases
     stay 0 and tied ones keep their tie; terms may leave out equations or
-    terms that are not to be fitted.  The residuals are recomputed from the
-    public equations, all of them.  amplitudes maps display phases to
-    amplitude rows (see _rank_solutions); the rows are deduplicated as one
-    array, and only the printed solutions are built into states.
+    terms that are not to be fitted.  residuals maps display phases (k, n)
+    to their rms on the public equations, all of them.  amplitudes maps
+    display phases to amplitude rows (see _rank_solutions); the rows are
+    deduplicated as one array, and only the printed solutions are built into
+    states.
     """
     phases = _wrap(_polish(_cosine_system(*terms, basis), x0) @ basis)
-    rms = _rms(equations(list(phases.T)))
+    rms = residuals(phases)
     ranked = _rank_solutions(phases, rms, est.noise_scale, amplitudes)
     state = QutritState if est.kind == "qutrit" else QuquartState
     states = [state(*e[0]) for e in ranked]
@@ -633,8 +637,8 @@ def qutrit_phases(est):
     # at a fraction of the cost
     mags = m.tolist(), n.tolist()
 
-    def equations(phi):
-        return qutrit_phase_equations(*mags, *phi)
+    def residuals(phi):
+        return _rms(qutrit_phase_equations(*mags, *phi.T))
 
     def amplitudes(phi):
         # C2 keeps phase 0, so it stays real in its column
@@ -649,7 +653,7 @@ def qutrit_phases(est):
         # arbitrary tie phi1 + phi3 = 0
         psi = _acos1(rhs[0] / coef[0])
         result = _solve(est, np.array([[1.0, -1.0]]), [[psi / 2.0], [-psi / 2.0]],
-                        (coef * [1.0, 0.0, 0.0], forms, eq, rhs), equations, amplitudes,
+                        (coef * [1.0, 0.0, 0.0], forms, eq, rhs), residuals, amplitudes,
                         "phi3 = -phi1 (C2 below threshold)",
                         ["interference amplitude below threshold: only the relative phase "
                          "phi1 - phi3 is observable, up to sign"])
@@ -662,7 +666,7 @@ def qutrit_phases(est):
     a3 = (not z3) and (not z2 or not z1)
     free = [slot for slot, act in ((0, a1), (1, a3)) if act]
     return _solve(est, _QUTRIT_BASES[tuple(free)], _qutrit_candidates(m, coef, rhs, free),
-                  terms, equations, amplitudes, "phi2 = 0 (C2 real non-negative)",
+                  terms, residuals, amplitudes, "phi2 = 0 (C2 real non-negative)",
                   _pinned_warning(zero))
 
 
@@ -670,18 +674,64 @@ def qutrit_phases(est):
 # ququart phases
 # ---------------------------------------------------------------------------
 
+def _w_rows(m, u, v):
+    """The rows of M in _w_system, the part the candidates use."""
+    m1, m2, m3, m4 = m
+    a11, a12 = m1 * m3 + m2 * m4 * np.cos(v - u), -m2 * m4 * np.sin(v - u)
+    a21 = m1 * m4 * np.cos(v) + m2 * m3 * np.cos(u)
+    a22 = m2 * m3 * np.sin(u) - m1 * m4 * np.sin(v)
+    return (a11, a12), (a21, a22)
+
+
 def _w_system(m, rhs, u, v):
     """e1 and e3 as M (cos w, sin w) = (N1, N3), for u = p1 - p2, v = p3 - p4.
 
     Here w = p1 - p3.  Returns the rows of M, adj(M) (N1, N3) and det(M):
     the solution lies on the unit circle where |adj(M) N|^2 = det(M)^2.
     """
-    m1, m2, m3, m4 = m
-    a11, a12 = m1 * m3 + m2 * m4 * np.cos(v - u), -m2 * m4 * np.sin(v - u)
-    a21 = m1 * m4 * np.cos(v) + m2 * m3 * np.cos(u)
-    a22 = m2 * m3 * np.sin(u) - m1 * m4 * np.sin(v)
+    (a11, a12), (a21, a22) = rows = _w_rows(m, u, v)
     adj = (a22 * rhs[0] - a12 * rhs[2], a11 * rhs[2] - a21 * rhs[0])
-    return (a11, a12), (a21, a22), adj, a11 * a22 - a12 * a21
+    return (*rows, adj, a11 * a22 - a12 * a21)
+
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _roots(p):
+    """np.roots of a 1-d complex array, bit for bit, with less set-up.
+
+    The same zero trimming and companion matrix go to the stacked kernel
+    behind np.linalg.eigvals, under the wrapper's checks: a non-finite
+    companion raises LinAlgError before it, and so does a kernel that does
+    not converge.
+    """
+    nonzero = np.flatnonzero(p)
+    if not len(nonzero):
+        return np.array([])
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    roots = np.array([])
+    if last > first:
+        a = np.eye(last - first, k=-1, dtype=p.dtype)
+        a[0] = -p[first + 1:last + 1] / p[first]
+        if not np.isfinite(a[0]).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            roots = _eigvals(a)
+    if last + 1 < len(p):
+        # each trailing zero is a root at 0
+        roots = np.concatenate([roots, np.zeros(len(p) - 1 - last, roots.dtype)])
+    return roots
+
+
+# _curve_roots' grid of t and its cosine, the grid twice over (once for d
+# and once for -d), and the harmonics 4 down to -4 that are the
+# coefficients of z^4 H(z)
+_T_GRID = np.arange(16) * (TWO_PI / 16)
+_COS_T_GRID = np.cos(_T_GRID)
+_T_GRID_TWICE = np.concatenate([_T_GRID, _T_GRID])
+_HARMONICS = np.arange(4, -5, -1)
 
 
 def _curve_roots(m, rhs):
@@ -691,27 +741,33 @@ def _curve_roots(m, rhs):
     cos d = (N2 - a cos t) / b.  The circle gap is quadratic in the first
     harmonics of u and v, so its product over d and -d is even in sin d: a
     trigonometric polynomial H(t) of degree 4.  Sixteen samples fix it, with
-    d complex where the curve leaves the real torus.  The arguments of all
+    d complex where the curve leaves the real torus; the gap is taken in one
+    pass over 32 samples, t with d and then t with -d.  The arguments of all
     8 roots of z^4 H(z) come back with both signs of the real d; roots off
     the unit circle are kept, because noise moves near-tangencies there.
     """
+    m = m.tolist()
     coef = (m[0] * m[1], m[2] * m[3])
     free = int(coef[1] < coef[0])
     a, b = coef[free], coef[1 - free]
-
-    def gap(t, d):
-        u, v = (t, d) if free == 0 else (d, t)
-        _, _, (c, s), det = _w_system(m, rhs, u, v)
-        return c * c + s * s - det * det
-
-    t = np.arange(16) * (TWO_PI / 16)
-    d = np.arccos((rhs[1] - a * np.cos(t)) / b + 0j)
-    # harmonics 4 down to -4, the coefficients of z^4 H(z)
-    h = np.fft.fft((gap(t, d) * gap(t, -d)).real)[np.arange(4, -5, -1)]
-    t = np.angle(np.roots(h)) if np.isfinite(h).all() else np.zeros(0)
+    d = np.arccos((rhs[1] - a * _COS_T_GRID) / b + 0j)
+    d = np.concatenate([d, -d])
+    uv = (_T_GRID_TWICE, d) if free == 0 else (d, _T_GRID_TWICE)
+    _, _, (c, s), det = _w_system(m, rhs, *uv)
+    gap = c * c + s * s - det * det
+    h = np.fft.fft((gap[:16] * gap[16:]).real)[_HARMONICS]
+    t = np.angle(_roots(h)) if np.isfinite(h).all() else np.zeros(0)
     d = _acos((rhs[1] - a * np.cos(t)) / b)
-    t, d = np.tile(t, 2), np.concatenate([d, -d])
+    t, d = np.concatenate([t, t]), np.concatenate([d, -d])
     return (t, d) if free == 0 else (d, t)
+
+
+# the critical points (u, v) in {0, pi}^2 of e2
+_CRITICAL_U = np.array([0.0, 0.0, math.pi, math.pi])
+_CRITICAL_V = np.array([0.0, math.pi, 0.0, math.pi])
+
+# +w and -w for the two rows of _ququart_candidates' w
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _ququart_candidates(m, rhs, active):
@@ -729,25 +785,50 @@ def _ququart_candidates(m, rhs, active):
     """
     if len(active) == 4:
         u, v = _curve_roots(m, rhs)
-        u = np.concatenate([u, [0.0, 0.0, math.pi, math.pi]])
-        v = np.concatenate([v, [0.0, math.pi, 0.0, math.pi]])
+        u, v = np.concatenate([u, _CRITICAL_U]), np.concatenate([v, _CRITICAL_V])
         # at a root both e1 and e3 hold, so either fixes w up to sign, also
         # where M is singular (always at the critical points)
-        row1, row3, _, _ = _w_system(m, rhs, u, v)
-        first = np.hypot(*row1) >= np.hypot(*row3)
-        a, b = np.where(first, row1[0], row3[0]), np.where(first, row1[1], row3[1])
+        (a11, a12), (a21, a22) = _w_rows(m.tolist(), u, v)
+        first = np.hypot(a11, a12) >= np.hypot(a21, a22)
+        a, b = np.where(first, a11, a21), np.where(first, a12, a22)
         span = _acos(np.where(first, rhs[0], rhs[2]) / np.maximum(np.hypot(a, b), 1e-300))
-        w = np.tile(np.arctan2(b, a), 2) + np.concatenate([span, -span])
-        u, v = np.tile(u, 2), np.tile(v, 2)
+        # rows of +w, then rows of -w; x - y is x + (-y), so each row keeps
+        # the bits of the sums over the tiled u, v and w
+        w = np.arctan2(b, a) + _SIGNS * span
         p1 = 0.25 * (u + v + 2.0 * w)
-        return np.stack([p1, p1 - u, p1 - w], axis=-1)
+        rows = np.empty((2, len(u), 3))
+        rows[..., 0] = p1
+        np.subtract(p1, u, out=rows[..., 1])
+        np.subtract(p1, w, out=rows[..., 2])
+        return rows.reshape(-1, 3)
     lead, rest = active[0], active[1:]
-    span = [float(_acos(rhs[_FRAMES["ququart"].equation[lead, j]] / (m[lead] * m[j])))
-            for j in rest]
+    span = [_acos1(rhs[_FRAMES["ququart"].equation[lead, j]] / (m[lead] * m[j])) for j in rest]
     phases = np.zeros((4 ** len(rest), 4))
     phases[:, rest] = list(itertools.product(*((s, -s, 0.0, math.pi) for s in span)))
     phases[:, active] -= phases[:, active].mean(axis=1, keepdims=True)
     return phases[:, active[:-1]]
+
+
+def _ququart_rms(coef, rhs, p):
+    """rms over ququart_phase_equations of phase rows p (k, 4), bit for bit.
+
+    coef and rhs of _frame_terms are its products and constants, and the
+    cosines of all six differences come from one call; the squares are
+    summed in the order _rms sums them.
+    """
+    f = _FRAMES["ququart"]
+    e = coef * np.cos(p[:, f.j] - p[:, f.k])
+    e = e[:, 0::2] + e[:, 1::2] - rhs
+    e *= e
+    return np.sqrt((e[:, 0] + e[:, 1] + e[:, 2]) / 3)
+
+
+# the bases of the ququart's free phases, keyed by the present amplitudes:
+# the first ones are free, and the last balances the sum to zero
+_QUQUART_BASES = {
+    active: np.eye(4)[list(active[:-1])] - np.eye(4)[active[-1]]
+    for size in range(1, 5) for active in itertools.combinations(range(4), size)
+}
 
 
 def ququart_phases(est):
@@ -772,21 +853,17 @@ def ququart_phases(est):
     names = "+".join(f"phi{i + 1}" for i in active)
     gauge = (f"{names} = 0, phases of below-threshold amplitudes pinned to 0" if any(zero)
              else "phi1 + phi2 + phi3 + phi4 = 0")
-    # the first len(active) - 1 present phases are free, the last one
-    # balances the sum to zero
-    basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
+    basis = _QUQUART_BASES[tuple(active)]
 
-    mags = m.tolist(), n.tolist()
-
-    def equations(p):
-        return ququart_phase_equations(*mags, p)
+    def residuals(p):
+        return _ququart_rms(terms[0], terms[3], p)
 
     x0 = _ququart_candidates(m, terms[3], active)
     if est.noise_scale == 0.0:
-        start = _rms(equations(list((x0 @ basis).T)))
+        start = residuals(x0 @ basis)
         if start.min() < ROOT_START_RMS:
             x0 = x0[start < NEAR_ROOT_RMS]
-    result = _solve(est, basis, x0, terms, equations, lambda p: m * np.exp(1j * p), gauge,
+    result = _solve(est, basis, x0, terms, residuals, lambda p: m * np.exp(1j * p), gauge,
                     _pinned_warning(zero))
     if any(zero):
         raise PhaseUnobservable("amplitudes below threshold leave some phase "

@@ -1354,3 +1354,73 @@ def test_ququart_candidate_stage_equals_its_first_form_bit_for_bit(monkeypatch, 
         pass
     (_, polished, _), = calls
     assert same_bits(polished, reference_polished_rows(est, active, want))
+
+
+def roots_cases():
+    gen = np.random.default_rng(61)
+    cases = [gen.normal(size=9) + 1j * gen.normal(size=9) for _ in range(200)]
+    # coefficients of very different sizes, as near-degenerate harmonics give
+    cases += [(gen.normal(size=9) + 1j * gen.normal(size=9)) * 10.0 ** gen.uniform(-120, 120, 9)
+              for _ in range(50)]
+    zeros = [np.zeros(9, dtype=complex), np.zeros(1, dtype=complex)]
+    trimmed = []
+    for lead, trail in [(1, 0), (3, 0), (0, 1), (0, 4), (2, 2), (4, 4)]:
+        p = gen.normal(size=9) + 1j * gen.normal(size=9)
+        p[:lead] = 0.0
+        p[len(p) - trail:] = 0.0
+        trimmed.append(p)
+    single = []
+    for i in range(9):
+        p = np.zeros(9, dtype=complex)
+        p[i] = gen.normal() + 1j * gen.normal()
+        single.append(p)
+    return cases + zeros + trimmed + single + [np.array([2.0 - 1j]), np.array([0.0, 1.0, -3j])]
+
+
+def test_roots_equals_np_roots_bit_for_bit():
+    for p in roots_cases():
+        assert same_bits(reconstruct._roots(p), np.roots(p))
+
+
+def test_roots_raises_what_np_roots_raises():
+    # the companion overflows: np.roots' eigvals rejects the infinities
+    p = np.array([1e-300, 1e300, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.roots(p)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            reconstruct._roots(p)
+    assert str(got.value) == str(want.value)
+
+
+def test_roots_raises_on_a_kernel_that_does_not_converge(monkeypatch):
+    # the kernel flags non-convergence as an invalid value, which np.roots'
+    # eigvals turns into LinAlgError
+    def fails(a):
+        return np.sqrt(-np.ones(len(a))).astype(complex)
+
+    p = np.array([1.0, 2.0, 3.0], dtype=complex)
+    monkeypatch.setattr(reconstruct, "_eigvals", fails)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        reconstruct._roots(p)
+
+
+def test_acos_clips_as_np_clip_does_bit_for_bit():
+    x = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0,
+                  np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.5, 3.0, -7.0])
+    x = np.concatenate([x, np.random.default_rng(62).normal(scale=2.0, size=1000)])
+    assert same_bits(reconstruct._acos(x), np.arccos(np.clip(x, -1.0, 1.0)))
+
+
+def test_ququart_rms_equals_the_public_equations_bit_for_bit():
+    # the start filter and the printed residual both come from _ququart_rms
+    gen = np.random.default_rng(63)
+    for family in ["generic"] * 30 + ["zero"] * 10 + ["tiny"] * 10:
+        m, n = unit_magnitudes(gen, 4, family), unit_magnitudes(gen, 4, family)
+        coef, _, _, rhs = reconstruct._frame_terms("ququart", m, n)
+        p = gen.uniform(-math.pi, math.pi, size=(40, 4))
+        p[0], p[1] = 0.0, -0.0
+        want = reference_rms(reconstruct.ququart_phase_equations(m.tolist(), n.tolist(),
+                                                                 list(p.T)))
+        assert same_bits(reconstruct._ququart_rms(coef, rhs, p), want)
