@@ -79,6 +79,9 @@ KINDS = {
                     _ququart.rotate_basis_45),
 }
 
+# each kind's settings as a set, for CoincidenceRecord.kind
+_SETTING_SETS = {name: frozenset(k.settings) for name, k in KINDS.items()}
+
 _KIND_OF_TYPE = {
     _qutrit.QutritState: KINDS["qutrit"],
     _ququart.QuquartState: KINDS["ququart"],
@@ -139,7 +142,7 @@ class CoincidenceRecord:
         # the kind whose settings the record shares most of (a qutrit when
         # it shares none), so that a misspelt setting shows up as foreign to
         # the record's own kind
-        return max(KINDS, key=lambda k: len(self.counts.keys() & set(KINDS[k].settings)))
+        return max(_SETTING_SETS, key=lambda k: len(self.counts.keys() & _SETTING_SETS[k]))
 
     def total_coincidences(self):
         return sum(self.counts.values())
