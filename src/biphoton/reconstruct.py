@@ -695,6 +695,8 @@ def _w_system(m, rhs, u, v):
 
 
 def _raise_nonconvergence(err, flag):
+    # np.errstate's call handler: the eigvals kernel flags a failure to
+    # converge as an invalid value, which np.linalg.eigvals turns into this
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
