@@ -39,7 +39,9 @@ EXIT_CONTRACT = 4
 
 SEED_ENV = "BIPHOTON_SEED"
 
-# a sweep holds its rows in memory and takes about 0.1 ms per row
+# a sweep holds its rows in memory; on a 2-vCPU Xeon VM _sweep_rows takes
+# 6 to 7 us per row, and main 10 to 14 us per row at 10^4 rows and about
+# 20 us at 101 rows, where building the parser (about 1 ms) is half of it
 MAX_GRID = 10**6
 
 

@@ -40,6 +40,13 @@ def _emit(o, out):
     elif t is str:
         out.append(_encode_str(o))
     elif t is dict or isinstance(o, dict):
+        # an amplitude object of two finite floats in one format; the sum of
+        # two floats is finite only when both parts are
+        if t is dict and len(o) == 2:
+            re, im = o.get("re"), o.get("im")
+            if type(re) is float and type(im) is float and math.isfinite(re + im):
+                out.append('{"im":%.17g,"re":%.17g}' % (im, re))
+                return
         # every key before sorting, which fails on mixed types
         for key in o:
             if not isinstance(key, str):

@@ -15,8 +15,9 @@ amplitude each setting probes,
     ququart  Hh|Hl Hl|Hh Hh|Vl Vl|Hh Hl|Vh Vh|Hl Vh|Vl Vl|Vh
                                                          -> C1 C1 C2 C2 C3 C3 C4 C4
 
-plus the rotation to the 45-degree polarizer frame.  An amplitude probed by
-k settings gives each of them |C|^2 / k, so for a qutrit
+plus the matrix that turns the amplitudes to the 45-degree polarizer frame,
+the one qutrit.rotate_basis and ququart.rotate_basis_45 apply.  An
+amplitude probed by k settings gives each of them |C|^2 / k, so for a qutrit
 
     N_{H|H} = (eta/2) N |C1|^2        N_{V|V} = (eta/2) N |C3|^2
     N_{H|V} = N_{V|H} = (eta/4) N |C2|^2
@@ -34,7 +35,7 @@ ordered settings).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,34 +64,54 @@ QUQUART_SETTINGS = (
 class Kind(NamedTuple):
     """What the measurement needs to know about one kind of state.
 
-    probes[i] is the index of the amplitude whose |C|^2 setting i counts;
-    rotate45 maps a state to its amplitudes in the 45-degree polarizer frame.
+    probes[i] is the index of the amplitude whose |C|^2 setting i counts.
     """
 
     settings: tuple
     probes: np.ndarray
-    rotate45: Callable
 
 
 KINDS = {
-    "qutrit": Kind(QUTRIT_SETTINGS, np.array([0, 1, 1, 2]),
-                   lambda q: _qutrit.rotate_basis(q, math.pi / 4.0)),
-    "ququart": Kind(QUQUART_SETTINGS, np.array([0, 0, 1, 1, 2, 2, 3, 3]),
-                    _ququart.rotate_basis_45),
+    "qutrit": Kind(QUTRIT_SETTINGS, np.array([0, 1, 1, 2])),
+    "ququart": Kind(QUQUART_SETTINGS, np.array([0, 0, 1, 1, 2, 2, 3, 3])),
 }
 
-# each kind's settings as a set, for CoincidenceRecord.kind
+# each kind's settings as a set, for CoincidenceRecord.kind and the checks of
+# reconstruct.magnitudes_from_record
 _SETTING_SETS = {name: frozenset(k.settings) for name, k in KINDS.items()}
 
-_KIND_OF_TYPE = {
-    _qutrit.QutritState: KINDS["qutrit"],
-    _ququart.QuquartState: KINDS["ququart"],
+
+def _forward(name, rot45):
+    # what a record of one kind of state is built from: the kind's name and
+    # settings, the probes, each setting's share of its amplitude's |C|^2 and
+    # the map to the amplitudes in the 45-degree polarizer frame; the shares
+    # as floats and the map as complex numbers, the operands numpy casts
+    # them to on every call
+    settings, probes = KINDS[name]
+    shares = np.bincount(probes)[probes].astype(float)
+    return name, settings, probes, shares, rot45.astype(complex)
+
+
+# the matrices rotate_basis and rotate_basis_45 apply, whose bits set the
+# printed counts
+_FORWARD = {
+    _qutrit.QutritState: _forward("qutrit", _qutrit._rotation_matrix(math.pi / 4.0)),
+    _ququart.QuquartState: _forward("ququart", _ququart._ROT45),
 }
 
 SCHEMA = "coincidence/1"
 
 # the sampler draws the pair number through numpy, which takes int64
 MAX_PAIRS = 2**63 - 1
+
+
+def _is_integer(x):
+    # an int or a numpy integer, not a bool
+    return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
+
+
+def _is_real(x):
+    return type(x) is float or _is_integer(x) or isinstance(x, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -109,14 +130,23 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # only what a record can carry through to_dict and back: numbers of
+        # the JSON kinds, none of them a bool
+        if not _is_integer(self.total_pairs):
+            raise ValueError(f"total_pairs must be an integer, got {self.total_pairs!r}")
         if not 1 <= self.total_pairs <= MAX_PAIRS:
             raise ValueError(f"total_pairs must lie in [1, {MAX_PAIRS}]")
-        if not 0.0 < self.detector_efficiency <= 1.0:
+        eta = self.detector_efficiency
+        if not _is_real(eta):
+            raise ValueError(f"detector_efficiency must be a real number, got {eta!r}")
+        if not 0.0 < eta <= 1.0:
             raise ValueError("detector_efficiency must lie in (0, 1]")
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.noise == "sampled" and self.seed < 0:
             raise ValueError("sampling needs a non-negative seed")
 
@@ -139,10 +169,14 @@ class CoincidenceRecord:
 
     @property
     def kind(self):
-        # the kind whose settings the record shares most of (a qutrit when
-        # it shares none), so that a misspelt setting shows up as foreign to
-        # the record's own kind
-        return max(_SETTING_SETS, key=lambda k: len(self.counts.keys() & _SETTING_SETS[k]))
+        # the kind whose settings the record holds exactly, else the kind
+        # whose settings it shares most of (a qutrit when it shares none), so
+        # that a misspelt setting shows up as foreign to the record's own kind
+        keys = self.counts.keys()
+        for name, settings in _SETTING_SETS.items():
+            if keys == settings:
+                return name
+        return max(_SETTING_SETS, key=lambda k: len(keys & _SETTING_SETS[k]))
 
     def total_coincidences(self):
         return sum(self.counts.values())
@@ -226,11 +260,14 @@ def _setting_probabilities(state, basis):
     # ordered settings of the state's kind and their probabilities: each
     # setting carries its amplitude's |C|^2, shared evenly among the settings
     # probing that amplitude
-    settings, idx, rotate45 = _KIND_OF_TYPE[type(state)]
+    name, settings, probes, shares, rot45 = _FORWARD[type(state)]
+    amps = state.amplitudes
     if basis == "rotated45":
-        state = rotate45(state)
-    p = np.abs(state.amplitudes) ** 2
-    return settings, p[idx] / np.bincount(idx)[idx]
+        amps = rot45 @ amps
+        # the check the rotated state's constructor makes
+        _qutrit._check_norm(amps.tolist(), name)
+    p = np.abs(amps) ** 2
+    return settings, p[probes] / shares
 
 
 def _record(cfg, mode, settings, values):
@@ -252,7 +289,7 @@ def expected_coincidences(state, cfg):
     """
     settings, probs = _setting_probabilities(state, cfg.basis)
     scale = cfg.detector_efficiency / 2.0 * cfg.total_pairs
-    return _record(cfg, "ideal", settings, [float(scale * p) for p in probs])
+    return _record(cfg, "ideal", settings, (scale * probs).tolist())
 
 
 def sample_coincidences(state, cfg):
@@ -269,7 +306,7 @@ def sample_coincidences(state, cfg):
     rng = np.random.default_rng(cfg.seed)
     n_det = rng.binomial(cfg.total_pairs, cfg.detector_efficiency / 2.0)
     draws = rng.multinomial(n_det, probs / probs.sum())
-    return _record(cfg, "sampled", settings, [int(v) for v in draws])
+    return _record(cfg, "sampled", settings, draws.tolist())
 
 
 # older names, kept while callers move to the kind-generic builders

@@ -48,6 +48,7 @@ returned, the canonical one first (lexicographically smallest phases modulo
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -59,7 +60,7 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .jsonio import complex_to_json
-from .measurement import BASES, KINDS, NOISE_MODES
+from .measurement import _SETTING_SETS, BASES, KINDS, NOISE_MODES
 from .qutrit import SQRT2, U45, QutritState
 from .ququart import QuquartState
 
@@ -129,6 +130,17 @@ class MagnitudeEstimate:
     noise_scale: float = 0.0
 
 
+# a state's amplitudes read from its fields, without building its array
+_AMPLITUDE_FIELDS = {
+    QutritState: operator.attrgetter("c1", "c2", "c3"),
+    QuquartState: operator.attrgetter("c1", "c2", "c3", "c4"),
+}
+
+
+def _amplitude_objects(state):
+    return [complex_to_json(z) for z in _AMPLITUDE_FIELDS[type(state)](state)]
+
+
 @dataclass
 class ReconstructionResult:
     """Reconstructed state plus everything needed to judge it.
@@ -152,11 +164,9 @@ class ReconstructionResult:
         return {
             "schema": "recon/1",
             "kind": self.kind,
-            "amplitudes": [complex_to_json(c) for c in self.state.amplitudes.tolist()],
+            "amplitudes": _amplitude_objects(self.state),
             "residual": self.residual,
-            "alternates": [
-                [complex_to_json(c) for c in s.amplitudes.tolist()] for s in self.alternates
-            ],
+            "alternates": [_amplitude_objects(s) for s in self.alternates],
             "gauge": self.gauge,
             "warnings": list(self.warnings),
         }
@@ -165,6 +175,10 @@ class ReconstructionResult:
 # ---------------------------------------------------------------------------
 # magnitudes from records
 # ---------------------------------------------------------------------------
+
+_PROBES = {name: k.probes.tolist() for name, k in KINDS.items()}
+_N_AMPLITUDES = {name: max(p) + 1 for name, p in _PROBES.items()}
+
 
 def magnitudes_from_record(rec):
     """Extract amplitude magnitudes from one coincidence record.
@@ -180,13 +194,13 @@ def magnitudes_from_record(rec):
         raise MalformedRecord(f"record basis {rec.basis!r} is not recognized")
     if rec.mode not in NOISE_MODES:
         raise MalformedRecord(f"record mode {rec.mode!r} is not recognized")
-    settings, probes, _ = KINDS[kind]
-    # foreign first: a misspelt setting is also a missing one
-    unknown = [s for s in rec.counts if s not in settings]
-    if unknown:
-        raise MalformedRecord(f"record has settings {unknown} foreign to a {kind}")
-    missing = [s for s in settings if s not in rec.counts]
-    if missing:
+    settings = KINDS[kind].settings
+    if rec.counts.keys() != _SETTING_SETS[kind]:
+        # foreign first: a misspelt setting is also a missing one
+        unknown = [s for s in rec.counts if s not in settings]
+        if unknown:
+            raise MalformedRecord(f"record has settings {unknown} foreign to a {kind}")
+        missing = [s for s in settings if s not in rec.counts]
         raise IncompleteRecord(f"record lacks settings {missing} for a {kind}")
     counts = [float(rec.counts[s]) for s in settings]
     if any(v < 0 for v in counts):
@@ -196,9 +210,17 @@ def magnitudes_from_record(rec):
         raise MalformedRecord("record holds no coincidences")
     if not math.isfinite(total):
         raise MalformedRecord("coincidence counts overflow their sum")
-    sq = np.bincount(probes, weights=np.array(counts) / total)
-    # the sum is 1 up to rounding; dividing by it sets the last bits
-    mags = np.sqrt(sq / float(sq.sum()))
+    # np.bincount's sums in Python floats, in its order: each amplitude's
+    # from 0.0, setting by setting
+    sq = [0.0] * _N_AMPLITUDES[kind]
+    for p, v in zip(_PROBES[kind], counts):
+        sq[p] += v / total
+    # the sum is 1 up to rounding; dividing by it sets the last bits.  It is
+    # added left to right, as numpy's sum adds three or four terms
+    norm = 0.0
+    for v in sq:
+        norm += v
+    mags = np.array([math.sqrt(v / norm) for v in sq])
     noise = 1.0 / math.sqrt(total) if rec.mode == "sampled" else 0.0
     est = MagnitudeEstimate(kind=kind, noise_scale=noise)
     if rec.basis == "natural":

@@ -136,16 +136,20 @@ numbers = st.one_of(
 # a float as a result document may hold one: a Python float, -0.0, a numpy
 # float64, or a bool beside the floats
 part = st.one_of(finite, st.just(-0.0), finite.map(np.float64), st.booleans())
-amplitude = st.one_of(
-    st.fixed_dictionaries({"re": part, "im": part}),
-    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
-)
-solution = st.lists(amplitude, min_size=3, max_size=4)
-solution = st.one_of(solution, solution.map(tuple))
 
 
-def recon_documents(residual):
+def solutions(part):
+    amplitude = st.one_of(
+        st.fixed_dictionaries({"re": part, "im": part}),
+        st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+    )
+    solution = st.lists(amplitude, min_size=3, max_size=4)
+    return st.one_of(solution, solution.map(tuple))
+
+
+def recon_documents(residual, part=part):
     """recon/1-shaped documents: amplitudes, nested alternates, warnings."""
+    solution = solutions(part)
     return st.fixed_dictionaries({
         "schema": st.just("recon/1"), "kind": st.sampled_from(["qutrit", "ququart"]),
         "amplitudes": solution, "residual": residual,
@@ -179,6 +183,9 @@ documents_with_errors = st.one_of(
         max_leaves=12,
     ),
     recon_documents(st.one_of(part, unwritable)),
+    # amplitude objects with a part that is not finite, a float among them
+    recon_documents(part, st.one_of(part, st.sampled_from(
+        [math.nan, math.inf, -math.inf, np.float64(math.inf)]))),
 )
 REFERENCE = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -209,3 +216,37 @@ def test_dumps_errors_match_the_reference_encoder(doc, error, message):
     with pytest.raises(error, match=message):
         jsonio.dumps(doc)
     assert outcome(jsonio.dumps, doc) == outcome(reference_dumps, doc)
+
+
+class Subdict(dict):
+    # a lookup of its own, which the encoder must use
+    def __getitem__(self, key):
+        return -dict.__getitem__(self, key)
+
+
+@pytest.mark.parametrize("doc", [
+    {"re": 0.5, "im": -0.0},
+    {"re": 1e308, "im": 1e308},
+    {"re": np.float64(0.5), "im": 0.25},
+    {"re": 0.5, "im": np.float64(-2.0)},
+    {"re": 1, "im": 0.5},
+    {"re": 0.5, "im": True},
+    {"re": 0.5, "im": 0.25, "x": 1.0},
+    {"re": 0.5, "x": 0.25},
+    Subdict(re=0.5, im=0.25),
+    [{"re": 0.1, "im": 0.2}, {"im": 1 / 3, "re": -2.0}],
+], ids=["floats", "sum-overflows", "np-re", "np-im", "int-re", "bool-im", "extra-key",
+        "other-key", "dict-subclass", "list"])
+def test_amplitude_objects_match_the_reference_encoder(doc):
+    assert jsonio.dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("re, im", [
+    (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf),
+    (math.inf, -math.inf), (np.float64(math.nan), 0.5),
+])
+def test_amplitude_objects_with_a_part_not_finite_fail_as_the_reference_encoder_does(re, im):
+    for doc in ({"re": re, "im": im}, [{"re": re, "im": im}], Subdict(re=re, im=im)):
+        with pytest.raises(ValueError, match="non-finite number cannot be serialized"):
+            jsonio.dumps(doc)
+        assert outcome(jsonio.dumps, doc) == outcome(reference_dumps, doc)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from biphoton import measurement, ququart, qutrit, reconstruct
+from biphoton import jsonio, measurement, ququart, qutrit, reconstruct
 
 
 SQRT2 = math.sqrt(2.0)
@@ -645,6 +645,34 @@ def test_result_to_dict():
     assert all(set(a) == {"re", "im"} for a in doc["amplitudes"])
     assert doc["residual"] >= 0
     assert isinstance(doc["alternates"], list)
+
+
+def reference_to_dict(res):
+    # ReconstructionResult.to_dict as it was, through each solution's array
+    amps = [[jsonio.complex_to_json(c) for c in s.amplitudes.tolist()] for s in res.solutions()]
+    return {"schema": "recon/1", "kind": res.kind, "amplitudes": amps[0],
+            "residual": res.residual, "alternates": amps[1:], "gauge": res.gauge,
+            "warnings": list(res.warnings)}
+
+
+def test_result_to_dict_equals_the_array_form():
+    # solver results, and states whose fields hold numpy scalars, ints and -0.0
+    gen = np.random.default_rng(53)
+    results = []
+    for make, solve, dim in ((qutrit.make_qutrit, reconstruct.qutrit_phases, 3),
+                             (ququart.make_ququart, reconstruct.ququart_phases, 4)):
+        for _ in range(10):
+            state = make(*(gen.normal(size=dim) + 1j * gen.normal(size=dim)))
+            results.append(solve(ideal_estimate(state)))
+    odd = [qutrit.QutritState(np.complex128(0.6), 0.8, complex(-0.0, -0.0)),
+           qutrit.QutritState(1, 0, 0),
+           ququart.QuquartState(np.complex64(0.5), 0.5j, np.float64(-0.5), 0.5)]
+    results.append(reconstruct.ReconstructionResult(
+        kind="mixed", state=odd[0], residual=0.0, alternates=odd[1:], gauge="g",
+        warnings=("w",)))
+    for res in results:
+        # repr tells -0.0 from 0.0 and a numpy float from a Python one
+        assert repr(res.to_dict()) == repr(reference_to_dict(res))
 
 
 # ---------------------------------------------------------------------------
