@@ -12,15 +12,15 @@ branches, and for a ququart the 8 roots of a degree-4 trigonometric
 polynomial, the product of a circle condition over both branches of the
 curve one equation draws in two phase differences.  Damped Gauss-Newton
 steps then polish the candidates on the full equations, fitting noisy
-records in the least-squares sense.  Noise-free ququart records polish only
-the candidates that start near a root, when some candidate starts at one;
-sampled records and qutrits polish every candidate.  Both kinds polish
-through one kernel that returns the residuals and the analytic Jacobian of
-a cosine system from one cosine and one sine per term.  Each candidate
-stops on its own step and leaves the batch, so it ends as it would polished
-alone.  The rows within the keep threshold are deduplicated as one
-amplitude array, and only the solutions that get printed are built into
-states.
+records in the least-squares sense.  Ququart records polish only the
+candidates that start near a root, when some candidate starts at one: for
+sampled records, within the floor of the band of minima they keep.  Qutrits
+polish every candidate.  Both kinds polish through one kernel that returns
+the residuals and the analytic Jacobian of a cosine system from one cosine
+and one sine per term.  Each candidate stops on its own step and leaves the
+batch, so it ends as it would polished alone.  The rows within the keep
+threshold are deduplicated as one amplitude array, and only the solutions
+that get printed are built into states.
 
 Phase conventions (gauges):
 
@@ -321,20 +321,22 @@ def _rms(eqs):
 STEP_TOL = 1e-12
 POLISH_STEPS = 60
 
-# noise-free ququart records polish only the candidate rows that start near
-# a root.  When some row starts at a root (rms on the public equations below
-# ROOT_START_RMS), the rows below NEAR_ROOT_RMS are polished; when none
-# does, every row is.  Both cuts rest on scans, not on a gap.  Where curve
-# roots crowd, np.roots leaves the only rows of an exact root off it, by up
-# to 5.9e-6 in 6,800 Haar ququarts (criterion 8's seed 809, seeds 5 to 7):
-# polishing only the rows below 1e-8 lost exact roots of 4 of them, the
-# truth of one.  Near-degenerate states start every row off, and a 1e-5 cut
-# alone lost exact roots of 2 of 20,000 (seeds 20 and 21).  With both cuts,
-# none of these 26,800 states or of 2,300 real ones (seeds 13 and 14) lost
-# one.  Real amplitudes sit at double roots, and their other rows spread
-# through the band: 1,818 of the 12,000 rows of 300 real ququarts (seed 13,
-# every |C| >= 0.1) start in [1e-10, 1e-6), against 4 of the 12,000 rows of
-# 300 Haar ones (seed 5)
+# ququart records polish only the candidate rows that start near a root.
+# When some row starts at a root, the rows near one are polished; when none
+# does, every row is.  For noise-free records a row starts at a root below
+# ROOT_START_RMS in rms on the public equations, and near one below
+# NEAR_ROOT_RMS; sampled records take the floor of the keep band,
+# _keep_threshold(0, noise_scale), for both.  The two noise-free cuts rest
+# on scans, not on a gap.  Where curve roots crowd, np.roots leaves the only
+# rows of an exact root off it, by up to 5.9e-6 in 6,800 Haar ququarts
+# (criterion 8's seed 809, seeds 5 to 7): polishing only the rows below 1e-8
+# lost exact roots of 4 of them, the truth of one.  Near-degenerate states
+# start every row off, and a 1e-5 cut alone lost exact roots of 2 of 20,000
+# (seeds 20 and 21).  With both cuts, none of these 26,800 states or of
+# 2,300 real ones (seeds 13 and 14) lost one.  Real amplitudes sit at double
+# roots, and their other rows spread through the band: 1,818 of the 12,000
+# rows of 300 real ququarts (seed 13, every |C| >= 0.1) start in
+# [1e-10, 1e-6), against 4 of the 12,000 rows of 300 Haar ones (seed 5)
 ROOT_START_RMS = 1e-8
 NEAR_ROOT_RMS = 1e-5
 
@@ -801,11 +803,11 @@ def _ququart_candidates(m, rhs, active):
     roots, each on both branches of e2) and the 4 critical points (u, v) in
     {0, pi}^2 of e2, where real amplitudes sit, each come with both signs of
     the w that the better-scaled of e1 and e3 fixes: at most 40 rows, of
-    which ququart_phases polishes, for noise-free records, only those that
-    start near a root.  Otherwise each phase difference to the first present
-    amplitude is +-acos from the one equation where the two share a term,
-    ignoring the terms of pinned amplitudes, or 0 or pi; noisy records can
-    leave those terms large.  rhs is that of _frame_terms.
+    which ququart_phases polishes only those that start near a root.
+    Otherwise each phase difference to the first present amplitude is +-acos
+    from the one equation where the two share a term, ignoring the terms of
+    pinned amplitudes, or 0 or pi; noisy records can leave those terms
+    large.  rhs is that of _frame_terms.
     """
     if len(active) == 4:
         u, v = _curve_roots(m, rhs)
@@ -863,12 +865,14 @@ def ququart_phases(est):
     unobservable; the partial result (unobservable phases pinned to 0) then
     rides on a PhaseUnobservable exception.  One present amplitude takes the
     same path with no free phase, so mismatched records raise Inconsistent
-    there as well.  Noise-free records (noise_scale 0) whose best
-    candidate row starts at a root, i.e. below ROOT_START_RMS in rms on the
-    public equations, polish only the rows below NEAR_ROOT_RMS; the other
-    rows would walk back to roots those already hold.  Otherwise, and for
-    sampled records, every row is polished.  The rule is the same with all
-    four amplitudes present and with pinned ones.
+    there as well.  When the best candidate row starts at a root, only the
+    rows that start near one are polished; the other rows would walk back
+    to roots those already hold, or to critical points.  Otherwise every
+    row is polished.  Starting rms on the public equations is compared with
+    two cuts: for noise-free records (noise_scale 0), ROOT_START_RMS for
+    the best row and NEAR_ROOT_RMS for the rest; for sampled records, the
+    floor of the keep band, 1e-6 + 10 noise scales, for both.  The rule is
+    the same with all four amplitudes present and with pinned ones.
     """
     m, n, zero = _prepare(est, "ququart")
     terms = _frame_terms("ququart", m, n)
@@ -883,10 +887,11 @@ def ququart_phases(est):
         return _ququart_rms(terms[0], terms[3], p)
 
     x0 = _ququart_candidates(m, terms[3], active)
-    if est.noise_scale == 0.0:
-        start = residuals(x0 @ basis)
-        if start.min() < ROOT_START_RMS:
-            x0 = x0[start < NEAR_ROOT_RMS]
+    root, near = ((ROOT_START_RMS, NEAR_ROOT_RMS) if est.noise_scale == 0.0
+                  else (_keep_threshold(0.0, est.noise_scale),) * 2)
+    start = residuals(x0 @ basis)
+    if start.min() < root:
+        x0 = x0[start < near]
     result = _solve(est, basis, x0, terms, residuals, lambda p: m * np.exp(1j * p), gauge,
                     _pinned_warning(zero))
     if any(zero):

@@ -842,11 +842,12 @@ def test_real_amplitude_round_trips_meet_criterion_8():
         assert truth_overlap(res, c) >= 1 - 1e-9
 
 
-def sampled_estimate(state, seed):
+def sampled_estimate(state, seed, state45=None):
+    # state45, when given, is the state of the rotated45 record
     recs = [
-        measurement.sample_coincidences(state, measurement.ExperimentConfig(
+        measurement.sample_coincidences(s, measurement.ExperimentConfig(
             total_pairs=10**6, basis=basis, noise="sampled", seed=seed + k))
-        for k, basis in enumerate(("natural", "rotated45"))
+        for k, (basis, s) in enumerate((("natural", state), ("rotated45", state45 or state)))
     ]
     return reconstruct.merge_estimates(
         *(reconstruct.magnitudes_from_record(r) for r in recs))
@@ -964,20 +965,22 @@ def count_batches(fun, sizes):
     return counted
 
 
-def test_polish_batch_shrinks_as_rows_converge(monkeypatch):
-    # sampled records polish every candidate row (40 -> 18 over 61 batches)
-    sizes, cosine_system = [], reconstruct._cosine_system
-    monkeypatch.setattr(reconstruct, "_cosine_system",
-                        lambda *terms: count_batches(cosine_system(*terms), sizes))
-    s = ququart.make_ququart(0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j)
-    reconstruct.ququart_phases(sampled_estimate(s, 0))
+_GENERIC_QUQUART = (0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j)
+_ALL_FREE = np.eye(4)[:3] - np.eye(4)[3]
+
+
+def test_polish_batch_shrinks_as_rows_converge():
+    # every candidate row of a sampled record, polished as one batch
+    # (40 -> 18 over 61 batches)
+    est = sampled_estimate(ququart.make_ququart(*_GENERIC_QUQUART), 0)
+    m, n = est.magnitudes, est.magnitudes45
+    terms = reconstruct._frame_terms("ququart", m, n)
+    sizes = []
+    reconstruct._polish(count_batches(reconstruct._cosine_system(*terms, _ALL_FREE), sizes),
+                        reconstruct._ququart_candidates(m, terms[3], [0, 1, 2, 3]))
     assert sizes[0] == 40
     assert all(b <= a for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] < sizes[0]
-
-
-_GENERIC_QUQUART = (0.6 + 0.2j, 0.3 - 0.4j, -0.5 + 0.3j, 0.1 + 0.35j)
-_ALL_FREE = np.eye(4)[:3] - np.eye(4)[3]
 
 
 def starting_rms(est):
@@ -1013,6 +1016,60 @@ def test_ideal_ququart_polishes_only_rows_that_start_near_a_root(monkeypatch):
     assert len(calls[-1][1]) == len(x0)
     assert same_sets_up_to_global_phase([s.amplitudes for s in res.solutions()],
                                         [s.amplitudes for s in pushed.solutions()])
+
+
+def keep_band_floor(est):
+    # what _keep_threshold(0.0, noise_scale) returns
+    return 1e-6 + 10.0 * est.noise_scale
+
+
+def test_sampled_ququart_polishes_only_rows_that_start_within_the_keep_band(monkeypatch):
+    calls = record_polish_calls(monkeypatch)
+    est = sampled_estimate(ququart.make_ququart(*_GENERIC_QUQUART), 0)
+    x0, rms = starting_rms(est)
+    reconstruct.ququart_phases(est)
+    (_, polished, _), = calls
+    inside = rms < keep_band_floor(est)
+    assert 0 < inside.sum() < len(x0)
+    assert np.array_equal(polished, x0[inside])
+
+
+def test_sampled_ququart_polishes_every_row_when_none_starts_within_the_band(monkeypatch):
+    # natural and rotated45 records of two different Haar states; no row
+    # starts within the band, yet the best row fits below the ceiling
+    first, second = (nth_draw(seed, 0, lambda gen: gen.normal(size=4) + 1j * gen.normal(size=4))
+                     for seed in (102, 1102))
+    est = sampled_estimate(ququart.make_ququart(*first), 19, ququart.make_ququart(*second))
+    calls = record_polish_calls(monkeypatch)
+    x0, rms = starting_rms(est)
+    res = reconstruct.ququart_phases(est)
+    (_, polished, _), = calls
+    assert rms.min() >= keep_band_floor(est)
+    assert len(x0) == 40
+    assert np.array_equal(polished, x0)
+    assert keep_band_floor(est) < res.residual <= reconstruct.RESIDUAL_CEILING
+
+
+def test_sampled_ququart_with_a_pinned_amplitude_drops_its_far_seeds(monkeypatch):
+    # C4 lies below the sampled zero threshold but is not zero; of the 16
+    # seeds (s, -s, 0, pi per phase difference), only the two of +-acos in
+    # both differences start within the band, and every 0 or pi seed is dropped
+    calls = record_polish_calls(monkeypatch)
+    est = sampled_estimate(ququart.make_ququart(0.5, 0.3 + 0.4j, 0.1 - 0.5j, 0.001), 13)
+    with pytest.raises(reconstruct.PhaseUnobservable):
+        reconstruct.ququart_phases(est)
+    (_, polished, _), = calls
+    m, n = est.magnitudes, est.magnitudes45
+    assert m[3] > 0.0 and reconstruct._zero_threshold(est) > m[3]
+    x0 = reconstruct._ququart_candidates(m, reconstruct._frame_terms("ququart", m, n)[3],
+                                         [0, 1, 2])
+    p = x0 @ (np.eye(4)[:2] - np.eye(4)[2])
+    rms = reconstruct._rms(reconstruct.ququart_phase_equations(m, n, list(p.T)))
+    inside = rms < keep_band_floor(est)
+    assert np.array_equal(polished, x0[inside])
+    # the rows run over (s, -s, 0, pi) for C2, and within each for C3
+    at_0_or_pi = np.array([max(i, j) >= 2 for i, j in itertools.product(range(4), repeat=2)])
+    assert inside.sum() == 2 and not inside[at_0_or_pi].any()
 
 
 def solve_every_row(monkeypatch, est):
@@ -1299,15 +1356,18 @@ def reference_ququart_candidates(m, rhs, active):
 
 
 def reference_polished_rows(est, active, x0):
-    # the rows ququart_phases polished: for noise-free records whose best
-    # row starts at a root, the rows near one
-    if est.noise_scale != 0.0:
-        return x0
+    # the rows ququart_phases polished: when the best row starts at a root,
+    # the rows near one.  For noise-free records both cuts are the two
+    # constants; for sampled records both are the keep band's floor
+    if est.noise_scale == 0.0:
+        root, near = reconstruct.ROOT_START_RMS, reconstruct.NEAR_ROOT_RMS
+    else:
+        root = near = keep_band_floor(est)
     basis = np.eye(4)[active[:-1]] - np.eye(4)[active[-1]]
     p = list((x0 @ basis).T)
     start = reference_rms(reconstruct.ququart_phase_equations(
         est.magnitudes.tolist(), est.magnitudes45.tolist(), p))
-    return x0[start < reconstruct.NEAR_ROOT_RMS] if start.min() < reconstruct.ROOT_START_RMS else x0
+    return x0[start < near] if start.min() < root else x0
 
 
 def reference_rms(eqs):
