@@ -139,6 +139,10 @@ class ExperimentConfig:
         eta = self.detector_efficiency
         if not _is_real(eta):
             raise ValueError(f"detector_efficiency must be a real number, got {eta!r}")
+        # a Python float, as a record reads it back: a numpy float32 would
+        # keep ideal counts in float32
+        eta = float(eta)
+        object.__setattr__(self, "detector_efficiency", eta)
         if not 0.0 < eta <= 1.0:
             raise ValueError("detector_efficiency must lie in (0, 1]")
         if self.basis not in BASES:

@@ -187,7 +187,7 @@ def magnitudes_from_record(rec):
     pair) are summed and the squared magnitudes normalized to unit sum.
     Raises IncompleteRecord when a required setting is missing and
     MalformedRecord for an unknown basis or mode, a setting foreign to the
-    record's kind, or negative or empty counts.
+    record's kind, or negative, NaN or empty counts.
     """
     kind = rec.kind
     if rec.basis not in BASES:
@@ -206,6 +206,9 @@ def magnitudes_from_record(rec):
     if any(v < 0 for v in counts):
         raise MalformedRecord("negative coincidence count")
     total = sum(counts)
+    if total != total:
+        nan = [s for s, v in zip(settings, counts) if v != v]
+        raise MalformedRecord(f"coincidence counts {nan} are NaN")
     if total <= 0:
         raise MalformedRecord("record holds no coincidences")
     if not math.isfinite(total):

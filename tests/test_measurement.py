@@ -334,6 +334,21 @@ def test_config_refuses_what_a_record_cannot_carry(field, value, message):
     assert str(e.value) == message
 
 
+def test_float32_efficiency_gives_float64_counts_that_read_back():
+    q = qutrit.make_qutrit(0.6, 0.3j, -0.2)
+    eta = np.float32(0.3)
+    cfg = measurement.ExperimentConfig(total_pairs=10**12, detector_efficiency=eta)
+    assert type(cfg.detector_efficiency) is float and cfg.detector_efficiency == eta
+    rec = measurement.expected_coincidences(q, cfg)
+    assert all(type(v) is float for v in rec.counts.values())
+    # float32 arithmetic would put H|H at 110204088403.59
+    assert rec.counts["H|H"] == pytest.approx(110204086011.77, abs=0.01)
+    back = measurement.CoincidenceRecord.from_dict(json.loads(jsonio.dumps(rec.to_dict())))
+    again = measurement.expected_coincidences(q, measurement.ExperimentConfig(
+        total_pairs=back.total_pairs, detector_efficiency=back.eta))
+    assert back.counts == again.counts == rec.counts
+
+
 integers = st.one_of(st.integers(-5, 2**63 + 5), st.booleans(), st.floats(-5, 1e6),
                      st.integers(0, 2**31).map(np.int64), st.integers(0, 2**31).map(np.uint32),
                      st.sampled_from([None, "7", 7j]))
@@ -402,7 +417,8 @@ def reference_sample_coincidences(state, cfg):
 
 
 def reference_magnitudes_from_record(rec):
-    # magnitudes_from_record as it was, summing through np.bincount
+    # magnitudes_from_record as it was, summing through np.bincount, with the
+    # NaN count named as it is now
     kind = reference_kind(rec)
     if rec.basis not in measurement.BASES:
         raise reconstruct.MalformedRecord(f"record basis {rec.basis!r} is not recognized")
@@ -419,6 +435,9 @@ def reference_magnitudes_from_record(rec):
     if any(v < 0 for v in counts):
         raise reconstruct.MalformedRecord("negative coincidence count")
     total = sum(counts)
+    nan = [s for s, v in zip(settings, counts) if math.isnan(v)]
+    if nan:
+        raise reconstruct.MalformedRecord(f"coincidence counts {nan} are NaN")
     if total <= 0:
         raise reconstruct.MalformedRecord("record holds no coincidences")
     if not math.isfinite(total):

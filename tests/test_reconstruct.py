@@ -111,6 +111,16 @@ def test_magnitudes_overflowing_counts():
         reconstruct.magnitudes_from_record(broken)
 
 
+def test_magnitudes_name_a_nan_count():
+    # built in Python: from_dict refuses NaN
+    rec, _ = ideal_records(qutrit.make_qutrit(0.6, 0.3, 0.8))
+    broken = measurement.CoincidenceRecord(
+        basis=rec.basis, mode=rec.mode, eta=rec.eta, total_pairs=rec.total_pairs,
+        counts={**rec.counts, "H|V": math.nan})
+    with pytest.raises(reconstruct.MalformedRecord, match=r"counts \['H\|V'\] are NaN"):
+        reconstruct.magnitudes_from_record(broken)
+
+
 def test_magnitudes_unknown_setting():
     rec, _ = ideal_records(qutrit.make_qutrit(0, 1, 0))
     doc = rec.to_dict()
