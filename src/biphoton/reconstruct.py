@@ -890,8 +890,10 @@ def ququart_phases(est):
         return _ququart_rms(terms[0], terms[3], p)
 
     x0 = _ququart_candidates(m, terms[3], active)
-    root, near = ((ROOT_START_RMS, NEAR_ROOT_RMS) if est.noise_scale == 0.0
-                  else (_keep_threshold(0.0, est.noise_scale),) * 2)
+    if est.noise_scale == 0.0:
+        root, near = ROOT_START_RMS, NEAR_ROOT_RMS
+    else:
+        root = near = _keep_threshold(0.0, est.noise_scale)
     start = residuals(x0 @ basis)
     if start.min() < root:
         x0 = x0[start < near]

@@ -854,10 +854,11 @@ def test_real_amplitude_round_trips_meet_criterion_8():
 
 def sampled_estimate(state, seed, state45=None):
     # state45, when given, is the state of the rotated45 record
+    frames = (("natural", state), ("rotated45", state if state45 is None else state45))
     recs = [
         measurement.sample_coincidences(s, measurement.ExperimentConfig(
             total_pairs=10**6, basis=basis, noise="sampled", seed=seed + k))
-        for k, (basis, s) in enumerate((("natural", state), ("rotated45", state45 or state)))
+        for k, (basis, s) in enumerate(frames)
     ]
     return reconstruct.merge_estimates(
         *(reconstruct.magnitudes_from_record(r) for r in recs))
