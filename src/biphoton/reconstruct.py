@@ -14,11 +14,15 @@ curve one equation draws in two phase differences.  Damped Gauss-Newton
 steps then polish the candidates on the full equations, fitting noisy
 records in the least-squares sense.  Ququart records polish only the
 candidates that start near a root, when some candidate starts at one: for
-sampled records, within the floor of the band of minima they keep.  Qutrits
-polish every candidate.  Both kinds polish through one kernel that returns
-the residuals and the analytic Jacobian of a cosine system from one cosine
-and one sine per term.  Each candidate stops on its own step and leaves the
-batch, so it ends as it would polished alone.  The rows within the keep
+sampled records, within the floor of the band of minima they keep.  For
+noise-free records of real amplitudes, a candidate at a real critical point
+holds its root exactly, and the curve-root candidates around it, which
+would walk back to that root, are not polished either.  Qutrits polish
+every candidate.  Both kinds polish through one kernel that returns the
+residuals and the analytic Jacobian of a cosine system from one cosine and
+one sine per term.  Each candidate stops on its own step and leaves the
+batch, so it ends as it would polished alone; it also stops once its
+residual is rounding noise, as at a double root.  The rows within the keep
 threshold are deduplicated as one amplitude array, and only the solutions
 that get printed are built into states.
 
@@ -319,10 +323,18 @@ def _rms(eqs):
 # ---------------------------------------------------------------------------
 
 # each row of the polish stops once its step moves no phase by STEP_TOL
-# radians, and after POLISH_STEPS at the latest; at a double root (real
-# amplitudes) a step only halves the distance
+# radians, or, after its first step, once its cost r.r is at most
+# COST_FLOOR, and after POLISH_STEPS at the latest.  At a double root (real
+# amplitudes) a step only halves the distance, so without the floor a row
+# whose residual was already rounding noise walked on, then sat through
+# about 15 rejected steps while the damping climbed back up from 1e-14.
+# COST_FLOOR is about 1e-15 in rms on three equations.  With it, 300 Haar
+# ququarts (seed 5), the 500 of criterion 8 and 300 sampled ones (seed 11)
+# print the same bytes, and so do 1,999 of 2,000 more (seed 6) and 269 of
+# 300 real qutrits (seed 13); the other 32 print the same sets
 STEP_TOL = 1e-12
 POLISH_STEPS = 60
+COST_FLOOR = 4e-30
 
 # ququart records polish only the candidate rows that start near a root.
 # When some row starts at a root, the rows near one are polished; when none
@@ -339,9 +351,27 @@ POLISH_STEPS = 60
 # 2,300 real ones (seeds 13 and 14) lost one.  Real amplitudes sit at double
 # roots, and their other rows spread through the band: 1,818 of the 12,000
 # rows of 300 real ququarts (seed 13, every |C| >= 0.1) start in
-# [1e-10, 1e-6), against 4 of the 12,000 rows of 300 Haar ones (seed 5)
+# [1e-10, 1e-6), against 4 of the 12,000 rows of 300 Haar ones (seed 5).
+# All 1,818 lie in the rings of real roots that the rule below drops
 ROOT_START_RMS = 1e-8
 NEAR_ROOT_RMS = 1e-5
+
+# with all four amplitudes present, a critical-point row
+# ((u, v) in {0, pi}^2) is real when its w lies within REAL_W_TOL of 0 or
+# pi.  Every sine in the equations then vanishes, and the circle-gap
+# polynomial has an 8-fold root there, which np.roots scatters into a ring.
+# When a real row starts with its cost at COST_FLOOR, the curve-root rows
+# within TANGENCY_RADIUS of it in (u, v) are not polished: each walked back
+# to the root that row holds.  Each of 1,300 real ququarts (seeds 13 and 14,
+# every |C| >= 0.1) had such a row, with w at most 5.3e-7 off, and its ring
+# reached 0.059 rad.  Real w is required: in 300 block-phase ququarts (C1
+# and C2 of one phase, C3 and C4 of another; seed 15), the w of every
+# critical row at a root lies at least 3.3e-3 off, and the rows beside it
+# hold other exact roots.  A state whose w lies within REAL_W_TOL of real
+# has its mirror within about 1e-12 in overlap deficit, which the dedupe
+# merges anyway
+REAL_W_TOL = 1e-6
+TANGENCY_RADIUS = 0.1
 
 
 def _wrap(x):
@@ -349,8 +379,7 @@ def _wrap(x):
 
 
 def _acos(x):
-    # np.clip's values, NaN included, without its per-call set-up
-    return np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
+    return np.arccos(np.clip(x, -1.0, 1.0))
 
 
 def _acos1(x):
@@ -491,20 +520,22 @@ def _polish(fun, x):
     fun maps phases x (k, d) to [r | J] (k, e, 1 + d); a row carries its
     phases, its damping and G = [r | J]^T [r | J].  A step is kept where it
     lowers r.r = G[0, 0]; the damping then shrinks, else it grows.  Each row
-    stops on its own step and leaves the batch, as it would polished alone.
-    When no first step moves a phase by STEP_TOL, as at exact closed-form
-    roots, the rows come back as they went in, after one evaluation.
+    stops on its own step and leaves the batch, as it would polished alone:
+    once its step moves no phase by STEP_TOL, or, after its first step, once
+    r.r is at most COST_FLOOR, rounding noise.  That first step still halves
+    the offset the closed form leaves at a double root.  When no first step
+    moves a phase by STEP_TOL, as at exact closed-form roots, the rows come
+    back as they went in, after one evaluation.
     """
     x = np.array(x, dtype=float)
     eye = np.eye(x.shape[1])
     gram = _gram(fun(x))
     step = _step(gram, 1e-3, eye)
-    big = np.abs(step) >= STEP_TOL
-    if not big.any():
+    moving = (np.abs(step) >= STEP_TOL).any(axis=1)
+    if not moving.any():
         return x
     out, live, damping = x.copy(), np.arange(len(x)), np.full(len(x), 1e-3)
     for _ in range(POLISH_STEPS):
-        moving = big.any(axis=1)
         if not moving.all():
             out[live] = x
             live, x, gram, damping, step = (a[moving] for a in (live, x, gram, damping, step))
@@ -518,7 +549,7 @@ def _polish(fun, x):
         damping *= np.where(ok, 0.1, 10.0)
         np.maximum(damping, 1e-14, out=damping, where=ok)
         step = _step(gram, damping, eye)
-        big = np.abs(step) >= STEP_TOL
+        moving = (gram[:, 0, 0] > COST_FLOOR) & (np.abs(step) >= STEP_TOL).any(axis=1)
     out[live] = x
     return out
 
@@ -838,6 +869,34 @@ def _ququart_candidates(m, rhs, active):
     return phases[:, active[:-1]]
 
 
+def _tangent_rows(x0, start):
+    """The curve-root rows that would walk back to a real critical row's root.
+
+    x0 holds the rows (p1, p2, p3) of _ququart_candidates with all four
+    amplitudes present: per sign of w, the curve-root rows, then the 4
+    critical points; start holds their starting rms.  In the zero-sum gauge
+    p4 = -(p1 + p2 + p3), so u = p1 - p2, v = p3 - p4 = p1 + p2 + 2 p3 and
+    w = p1 - p3.  A critical row is real when w lies within REAL_W_TOL of 0
+    or pi, so that every sine in the equations vanishes.  Returns the
+    indices of the curve-root rows within TANGENCY_RADIUS in (u, v) of a
+    real critical row that starts at its root to rounding, with its cost
+    3 rms^2 at most COST_FLOOR.
+    """
+    half = len(x0) // 2
+    critical = [*range(half - 4, half), *range(2 * half - 4, 2 * half)]
+    rms = start.tolist()
+    real = [i for i in critical if 3.0 * rms[i] * rms[i] <= COST_FLOOR
+            and abs(math.sin(x0[i, 0] - x0[i, 2])) < REAL_W_TOL]
+    if not real:
+        return []
+    p1, p2, p3 = x0.T
+    u, v = p1 - p2, p1 + p2 + 2.0 * p3
+    near = (np.hypot(_wrap(u[:, None] - u[real]), _wrap(v[:, None] - v[real]))
+            < TANGENCY_RADIUS).any(axis=1)
+    near[critical] = False
+    return np.flatnonzero(near)
+
+
 def _ququart_rms(coef, rhs, p):
     """rms over ququart_phase_equations of phase rows p (k, 4), bit for bit.
 
@@ -876,6 +935,11 @@ def ququart_phases(est):
     the best row and NEAR_ROOT_RMS for the rest; for sampled records, the
     floor of the keep band, 1e-6 + 10 noise scales, for both.  The rule is
     the same with all four amplitudes present and with pinned ones.
+    With all four present, the rows around a real critical-point row that
+    starts at its root to rounding (cost at COST_FLOOR) are dropped too: the
+    curve-root rows within TANGENCY_RADIUS of it in (u, v), which all walk
+    back to that root (see _tangent_rows).  Noise-free records of real
+    amplitudes start such a row; sampled ones did not (150 real states).
     """
     m, n, zero = _prepare(est, "ququart")
     terms = _frame_terms("ququart", m, n)
@@ -896,7 +960,10 @@ def ququart_phases(est):
         root = near = _keep_threshold(0.0, est.noise_scale)
     start = residuals(x0 @ basis)
     if start.min() < root:
-        x0 = x0[start < near]
+        keep = start < near
+        if len(active) == 4:
+            keep[_tangent_rows(x0, start)] = False
+        x0 = x0[keep]
     result = _solve(est, basis, x0, terms, residuals, lambda p: m * np.exp(1j * p), gauge,
                     _pinned_warning(zero))
     if any(zero):

@@ -1084,9 +1084,11 @@ def test_sampled_ququart_with_a_pinned_amplitude_drops_its_far_seeds(monkeypatch
 
 
 def solve_every_row(monkeypatch, est):
+    # no row is dropped: not by its starting rms, nor beside a real root
     with monkeypatch.context() as patch:
         patch.setattr(reconstruct, "ROOT_START_RMS", np.inf)
         patch.setattr(reconstruct, "NEAR_ROOT_RMS", np.inf)
+        patch.setattr(reconstruct, "TANGENCY_RADIUS", 0.0)
         return reconstruct.ququart_phases(est)
 
 
@@ -1155,6 +1157,97 @@ def test_ideal_real_ququart_prints_no_near_copies():
     res = reconstruct.ququart_phases(est)
     assert len(res.solutions()) == 1
     assert max(solution_rms(est, res)) <= 1e-12
+    assert truth_overlap(res, c) >= 1 - 1e-12
+
+
+def uvw(x0):
+    # (p1 - p2, p3 - p4, p1 - p3) of zero-sum rows (p1, p2, p3)
+    p1, p2, p3 = x0.T
+    return p1 - p2, p1 + p2 + 2.0 * p3, p1 - p3
+
+
+def test_ideal_real_ququart_polishes_only_its_real_critical_rows(monkeypatch):
+    # the ring of curve-root rows around the real critical point walked back
+    # to the root that point's rows hold exactly: 22 rows over 43 evaluations
+    c = nth_draw(13, 10, real_draw)
+    est = ideal_estimate(ququart.make_ququart(*c))
+    x0, rms = starting_rms(est)
+    sizes, polish = [], reconstruct._polish
+    monkeypatch.setattr(reconstruct, "_polish",
+                        lambda fun, x: polish(count_batches(fun, sizes), x))
+    calls = record_polish_calls(monkeypatch)
+    res = reconstruct.ququart_phases(est)
+    (_, polished, _), = calls
+    # both signs of w at the one critical point (u, v) in {0, pi}^2 whose
+    # real w starts at the root to rounding; another critical point with w
+    # in {0, pi} is no root
+    u, v, w = uvw(x0)
+    real = (np.hypot(np.sin(u), np.sin(v)) <= 1e-15) & (np.abs(np.sin(w)) < 1e-6)
+    assert real.sum() == 4
+    assert np.array_equal(polished, x0[real & (rms <= 1e-15)])
+    assert len(polished) == 2
+    assert len(sizes) <= 2
+    assert len(res.solutions()) == 1
+    assert truth_overlap(res, c) >= 1 - 1e-15
+
+
+def test_ideal_real_ququarts_print_their_truth_to_rounding():
+    # the parent missed the truth of 8 of these 300 by 1.2e-14 to 3.9e-13,
+    # where rows from the ring walked back toward the real root and stopped
+    # short of it
+    worst = 0.0
+    for c in real_states(300, 4, 13):
+        res = reconstruct.ququart_phases(ideal_estimate(ququart.make_ququart(*c)))
+        worst = max(worst, 1.0 - truth_overlap(res, c))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("amps", [
+    # C1 and C2 share one phase and C3 and C4 another, so a critical row
+    # holds a root, with w off 0 and pi: here 1.4e-9 off it in rms, 0.03 off
+    # real in w; the rows beside it hold the other exact roots.  Dropping
+    # them whenever a critical row starts below ROOT_START_RMS printed 2
+    (-0.19, -0.87, 0.28987 - 0.0087j, -0.34984 + 0.0105j),
+    # the critical row holds its root to rounding, with w 0.93 off real;
+    # dropping its neighbours without the realness condition printed 2
+    (0.3, -0.2, 0.3 + 0.4j, 0.36 + 0.48j),
+], ids=["critical-row-near-its-root", "critical-row-at-its-root"])
+def test_block_phase_ququart_keeps_the_roots_of_every_row(monkeypatch, amps):
+    est = ideal_estimate(ququart.make_ququart(*amps))
+    with monkeypatch.context() as patch:
+        patch.setattr(reconstruct, "TANGENCY_RADIUS", 0.0)
+        want = [s.amplitudes for s in reconstruct.ququart_phases(est).solutions()]
+    got = [s.amplitudes for s in reconstruct.ququart_phases(est).solutions()]
+    assert len(want) == 6
+    assert same_sets_up_to_global_phase(got, want)
+
+
+def test_near_real_ququart_keeps_the_roots_of_every_row(monkeypatch):
+    # phases within 3e-4 of 0 or pi: a critical row starts within 1e-8 in
+    # rms of a root, but not at one to rounding, and its polish stalls at
+    # rms 5e-9.  The exact roots come from the curve-root rows around it
+    c = (0.75317424 - 4.51098e-07j, 0.18470307, -0.43693155 + 1.12166949e-04j,
+         0.45574571 + 5.17387737e-06j)
+    est = ideal_estimate(ququart.make_ququart(*c))
+    every = solve_every_row(monkeypatch, est)
+    res = reconstruct.ququart_phases(est)
+    assert len(every.solutions()) == 4
+    assert same_sets_up_to_global_phase([s.amplitudes for s in res.solutions()],
+                                        [s.amplitudes for s in every.solutions()])
+    assert max(solution_rms(est, res)) <= 1e-12
+
+
+def test_real_qutrit_rows_stop_at_the_cost_floor(monkeypatch):
+    # acos near -1 or 1 leaves these rows about 1e-8 off a double root, where
+    # a step only halves the offset; the residual is rounding noise after
+    # the first step, and the parent walked on and through rejected steps
+    # for 18 evaluations
+    c = real_states(15, 3, 13)[14]
+    sizes, polish = [], reconstruct._polish
+    monkeypatch.setattr(reconstruct, "_polish",
+                        lambda fun, x: polish(count_batches(fun, sizes), x))
+    res = reconstruct.qutrit_phases(ideal_estimate(qutrit.make_qutrit(*c)))
+    assert sizes == [4, 4]
     assert truth_overlap(res, c) >= 1 - 1e-12
 
 
@@ -1366,10 +1459,26 @@ def reference_ququart_candidates(m, rhs, active):
     return phases[:, active[:-1]]
 
 
+def reference_tangent_rows(x0, start):
+    # the curve-root rows within 0.1 rad in (u, v) of a real critical row:
+    # one of the last 4 rows of each sign of w, whose w lies within 1e-6 of
+    # 0 or pi and whose starting cost 3 rms^2 is at most 4e-30
+    u, v, w = uvw(x0)
+    half = len(x0) // 2
+    critical = [i % half >= half - 4 for i in range(len(x0))]
+    real = [i for i in range(len(x0))
+            if critical[i] and abs(math.sin(w[i])) < 1e-6 and 3.0 * start[i] ** 2 <= 4e-30]
+    return np.array([not critical[i] and any(
+        math.hypot(np.angle(np.exp(1j * (u[i] - u[j]))), np.angle(np.exp(1j * (v[i] - v[j]))))
+        < 0.1 for j in real) for i in range(len(x0))], dtype=bool)
+
+
 def reference_polished_rows(est, active, x0):
     # the rows ququart_phases polished: when the best row starts at a root,
-    # the rows near one.  For noise-free records both cuts are the two
-    # constants; for sampled records both are the keep band's floor
+    # the rows near one, except, with all four amplitudes present, the rows
+    # beside a real root that a critical row holds to rounding.  For
+    # noise-free records both cuts are the two constants; for sampled
+    # records both are the keep band's floor
     if est.noise_scale == 0.0:
         root, near = reconstruct.ROOT_START_RMS, reconstruct.NEAR_ROOT_RMS
     else:
@@ -1378,7 +1487,12 @@ def reference_polished_rows(est, active, x0):
     p = list((x0 @ basis).T)
     start = reference_rms(reconstruct.ququart_phase_equations(
         est.magnitudes.tolist(), est.magnitudes45.tolist(), p))
-    return x0[start < near] if start.min() < root else x0
+    if start.min() >= root:
+        return x0
+    keep = start < near
+    if len(active) == 4:
+        keep &= ~reference_tangent_rows(x0, start)
+    return x0[keep]
 
 
 def reference_rms(eqs):
