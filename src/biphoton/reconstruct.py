@@ -326,12 +326,12 @@ def _rms(eqs):
 # radians, or, after its first step, once its cost r.r is at most
 # COST_FLOOR, and after POLISH_STEPS at the latest.  At a double root (real
 # amplitudes) a step only halves the distance, so without the floor a row
-# whose residual was already rounding noise walked on, then sat through
-# about 15 rejected steps while the damping climbed back up from 1e-14.
-# COST_FLOOR is about 1e-15 in rms on three equations.  With it, 300 Haar
-# ququarts (seed 5), the 500 of criterion 8 and 300 sampled ones (seed 11)
-# print the same bytes, and so do 1,999 of 2,000 more (seed 6) and 269 of
-# 300 real qutrits (seed 13); the other 32 print the same sets
+# whose residual is already rounding noise walks on, then sits through
+# about 15 rejected steps while the damping climbs back up from 1e-14.
+# COST_FLOOR is about 1e-15 in rms on three equations.  300 Haar ququarts
+# (seed 5), the 500 of criterion 8 and 300 sampled ones (seed 11) print the
+# same bytes with it as without it, and so do 1,999 of 2,000 more (seed 6)
+# and 269 of 300 real qutrits (seed 13); the other 32 print the same sets
 STEP_TOL = 1e-12
 POLISH_STEPS = 60
 COST_FLOOR = 4e-30
@@ -356,20 +356,23 @@ COST_FLOOR = 4e-30
 ROOT_START_RMS = 1e-8
 NEAR_ROOT_RMS = 1e-5
 
-# with all four amplitudes present, a critical-point row
-# ((u, v) in {0, pi}^2) is real when its w lies within REAL_W_TOL of 0 or
-# pi.  Every sine in the equations then vanishes, and the circle-gap
-# polynomial has an 8-fold root there, which np.roots scatters into a ring.
-# When a real row starts with its cost at COST_FLOOR, the curve-root rows
-# within TANGENCY_RADIUS of it in (u, v) are not polished: each walked back
-# to the root that row holds.  Each of 1,300 real ququarts (seeds 13 and 14,
-# every |C| >= 0.1) had such a row, with w at most 5.3e-7 off, and its ring
-# reached 0.059 rad.  Real w is required: in 300 block-phase ququarts (C1
-# and C2 of one phase, C3 and C4 of another; seed 15), the w of every
-# critical row at a root lies at least 3.3e-3 off, and the rows beside it
-# hold other exact roots.  A state whose w lies within REAL_W_TOL of real
-# has its mirror within about 1e-12 in overlap deficit, which the dedupe
-# merges anyway
+# with all four amplitudes present, a critical-point row ((u, v) in
+# {0, pi}^2) is real when its w lies within REAL_W_TOL of 0 or pi.  Every
+# sine in the equations then vanishes, and the circle-gap polynomial has an
+# 8-fold root there, which np.roots scatters into a ring.  When a real row
+# starts with its cost at COST_FLOOR, the curve-root rows within
+# TANGENCY_RADIUS of it in (u, v) are not polished: each would walk back to
+# the root that row holds.  Each of 1,300 real ququarts (seeds 13 and 14,
+# every |C| >= 0.1) had such a row, its w at most 5.3e-7 off, and its ring
+# reached 0.059 rad.  Both conditions are required.  A row that starts
+# below ROOT_START_RMS need not hold its root: with that cut, 7 of 400
+# near-real ququarts (phases moved by up to 0.1 off real; seed 1016) lost
+# exact roots.  In block-phase ququarts (C1 and C2 of one phase, C3 and C4
+# of another) a critical row holds a root with w off real, at least 3.3e-3
+# in 300 of them (seed 15), and the rows beside it hold other exact roots:
+# without the realness test, 9 of the 300 lost some.  A state whose w lies
+# within REAL_W_TOL of real has its mirror within about 1e-12 in overlap
+# deficit, which the dedupe merges anyway
 REAL_W_TOL = 1e-6
 TANGENCY_RADIUS = 0.1
 

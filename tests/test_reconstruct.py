@@ -1192,9 +1192,9 @@ def test_ideal_real_ququart_polishes_only_its_real_critical_rows(monkeypatch):
 
 
 def test_ideal_real_ququarts_print_their_truth_to_rounding():
-    # the parent missed the truth of 8 of these 300 by 1.2e-14 to 3.9e-13,
-    # where rows from the ring walked back toward the real root and stopped
-    # short of it
+    # polished, the rows of the ring around the real root walked back toward
+    # it and stopped short: 8 of these 300 missed the truth by 1.2e-14 to
+    # 3.9e-13
     worst = 0.0
     for c in real_states(300, 4, 13):
         res = reconstruct.ququart_phases(ideal_estimate(ququart.make_ququart(*c)))
@@ -1240,8 +1240,8 @@ def test_near_real_ququart_keeps_the_roots_of_every_row(monkeypatch):
 def test_real_qutrit_rows_stop_at_the_cost_floor(monkeypatch):
     # acos near -1 or 1 leaves these rows about 1e-8 off a double root, where
     # a step only halves the offset; the residual is rounding noise after
-    # the first step, and the parent walked on and through rejected steps
-    # for 18 evaluations
+    # the first step.  Without the floor they walked on and through rejected
+    # steps for 18 evaluations
     c = real_states(15, 3, 13)[14]
     sizes, polish = [], reconstruct._polish
     monkeypatch.setattr(reconstruct, "_polish",
