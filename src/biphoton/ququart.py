@@ -107,7 +107,8 @@ class TwoQubitModelReport:
 def make_ququart(c1, c2, c3, c4):
     """Build a QuquartState from arbitrary amplitudes, normalizing the length.
 
-    Phases pass through untouched.  Raises ZeroState for the zero vector.
+    Phases pass through untouched.  Raises ValueError for a non-finite part
+    and ZeroState for the zero vector.
     """
     return QuquartState(*_normalized((c1, c2, c3, c4)))
 

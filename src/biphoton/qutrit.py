@@ -101,7 +101,8 @@ def make_qutrit(c1, c2, c3):
     """Build a QutritState from arbitrary amplitudes, normalizing the length.
 
     Only the magnitude is rescaled; relative and global phases pass through
-    untouched.  Raises ZeroState for the all-zero input.
+    untouched.  Raises ValueError for a non-finite part and ZeroState for
+    the all-zero input.
     """
     return QutritState(*_normalized((c1, c2, c3)))
 
@@ -127,6 +128,9 @@ def _normalized(amplitudes):
     # the squares from overflowing or underflowing, and gives the same bits
     # as normalizing the input directly
     amps = [complex(c) for c in amplitudes]
+    # each part on its own: a NaN can leave the max of the parts finite, or 0
+    if not all(cmath.isfinite(c) for c in amps):
+        raise ValueError(f"amplitudes must be finite, got {amps!r}")
     peak = max(max(abs(c.real), abs(c.imag)) for c in amps)
     if peak == 0.0:
         raise ZeroState("cannot normalize the zero vector")
@@ -365,10 +369,8 @@ def _decomposition(lambdas, parts):
     # parts lists the single-photon modes row by row, one column per term,
     # each part already + 0j, which turns a -0.0 into 0.0.  A flat list
     # with its dtype given builds faster than nested rows or an in-place
-    # + 0j on the array.  Both photons carry the same mode, so one
-    # C-contiguous array serves both
-    m = np.array(parts, dtype=complex).reshape(-1, len(lambdas))
-    return SchmidtDecomposition(lambdas, m, m)
+    # + 0j on the array
+    return SchmidtDecomposition(lambdas, np.array(parts, dtype=complex).reshape(-1, len(lambdas)))
 
 
 def _polarization_vector(q):

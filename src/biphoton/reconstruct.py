@@ -979,15 +979,13 @@ def ququart_phases(est):
 # real-amplitude shortcuts
 # ---------------------------------------------------------------------------
 
-def _imbalance(singles, m):
-    # w_H - w_V from a CoincidenceRecord.single_particle() mapping or, for
-    # None, the magnitudes m
-    if singles is None:
-        return float(m[0] * m[0] + m[1] * m[1] / 2.0) - float(m[2] * m[2] + m[1] * m[1] / 2.0)
-    return float(singles["H"]) - float(singles["V"])
+def _imbalance(m):
+    # w_H - w_V from the magnitudes m: w_H = |C1|^2 + |C2|^2/2, and w_V its
+    # mirror
+    return float(m[0] * m[0] + m[1] * m[1] / 2.0) - float(m[2] * m[2] + m[1] * m[1] / 2.0)
 
 
-def qutrit_real_shortcut(est, singles=None, singles45=None):
+def qutrit_real_shortcut(est):
     """K and C of a real-amplitude qutrit from single-photon probabilities.
 
     For real amplitudes the polarization vector lies in a plane, and the two
@@ -996,18 +994,18 @@ def qutrit_real_shortcut(est, singles=None, singles45=None):
 
         1/K = (1 + dw^2 + dw45^2) / 2        C = sqrt(1 - dw^2 - dw45^2)
 
-    singles / singles45 are the CoincidenceRecord.single_particle() mappings
-    of the natural and the rotated45 record; when omitted they are derived
-    from the magnitude estimate via w_H = |C1|^2 + |C2|^2/2 and its mirror.
-    dw^2 + dw45^2 must not exceed 1; noise can push it past, in which case
-    Inconsistent is raised carrying the quantifiers of the clipped value
-    (K = 1, C = 0).  As in qutrit_phases, an estimate of another kind or
-    with magnitudes of non-unit squared sums raises ValueError.  Returns
-    (K, C).
+    Both imbalances come from the magnitude estimate alone, via
+    w_H = |C1|^2 + |C2|^2/2 and its mirror.  The magnitudes sum the H|V and
+    V|H settings, so on sampled records they average out the noise between
+    the two that the records' single-photon tallies keep.  dw^2 + dw45^2
+    must not exceed 1; noise can push it past, in which case Inconsistent
+    is raised carrying the quantifiers of the clipped value (K = 1, C = 0).
+    As in qutrit_phases, an estimate of another kind or with magnitudes of
+    non-unit squared sums raises ValueError.  Returns (K, C).
     """
     m, n, _ = _prepare(est, "qutrit")
-    dw = _imbalance(singles, m)
-    dw45 = _imbalance(singles45, n)
+    dw = _imbalance(m)
+    dw45 = _imbalance(n)
     kinv = min(1.0, 0.5 * (1.0 + dw * dw + dw45 * dw45))
     c_sq = 1.0 - dw * dw - dw45 * dw45
     k, c = 1.0 / kinv, math.sqrt(max(0.0, c_sq))

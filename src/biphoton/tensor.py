@@ -34,6 +34,9 @@ HERMITIAN_TOL = 1e-12
 # Schmidt weights below this are treated as numerically zero
 SCHMIDT_WEIGHT_CUTOFF = 1e-12
 
+# vn_entropy rejects an eigenvalue below -POSITIVITY_TOL as no float noise
+POSITIVITY_TOL = 1e-12
+
 
 def kron(a, b):
     """Kronecker product with the first operand on the slow (outer) index."""
@@ -120,15 +123,16 @@ def schmidt_number(psi, d):
     return 1.0 / purity(rho_r)
 
 
-def vn_entropy(eigvals, clip=1e-12):
+def vn_entropy(eigvals):
     """Von Neumann entropy in bits from a set of eigenvalues.
 
     Eigenvalues are clipped to [0, 1] after checking that nothing is more
-    negative than ``-clip``; the 0*log(0) = 0 convention applies.  A NaN
-    entry contributes nothing and, like numpy's min, disables the check.
+    negative than ``-POSITIVITY_TOL``; the 0*log(0) = 0 convention applies.
+    A NaN entry contributes nothing and, like numpy's min, disables the
+    check.
     """
     lam = np.asarray(eigvals, dtype=float).ravel().tolist()
-    if lam and min(lam) < -clip and not any(x != x for x in lam):
+    if lam and min(lam) < -POSITIVITY_TOL and not any(x != x for x in lam):
         raise ConsistencyError(
             f"eigenvalue {min(lam):.3e} below the positivity tolerance"
         )
@@ -189,18 +193,16 @@ class SchmidtDecomposition:
     lambdas : (r,) array
         Schmidt weights (squared coefficients) in descending order, all at or
         above SCHMIDT_WEIGHT_CUTOFF, summing to 1 for a normalized input.
-    modes_first, modes_second : (d, r) arrays
-        Orthonormal single-photon Schmidt modes, one column per term.  For
-        exchange-symmetric states both photons carry the same mode in each
-        term, so the two arrays coincide; schmidt_from_symmetric and the
-        closed forms of the qutrit and ququart modules pass one array for
-        both.
+    modes_first, modes_second : (d, r) array
+        Orthonormal single-photon Schmidt modes, one column per term.  The
+        state is exchange-symmetric, so both photons carry the same mode in
+        each term: the constructor takes one array, and both names refer to
+        that one array object.
     """
 
-    def __init__(self, lambdas, modes_first, modes_second):
+    def __init__(self, lambdas, modes):
         self.lambdas = np.asarray(lambdas, dtype=float)
-        self.modes_first = np.asarray(modes_first, dtype=complex)
-        self.modes_second = np.asarray(modes_second, dtype=complex)
+        self.modes_first = self.modes_second = np.asarray(modes, dtype=complex)
 
     @property
     def num_terms(self):
@@ -225,7 +227,7 @@ def schmidt_from_symmetric(m):
     if not lam[-1] >= SCHMIDT_WEIGHT_CUTOFF:
         keep = lam >= SCHMIDT_WEIGHT_CUTOFF
         lam, modes = lam[keep], modes[:, keep]
-    return SchmidtDecomposition(lam, modes, modes)
+    return SchmidtDecomposition(lam, modes)
 
 
 def equal_up_to_global_phase(a, b, tol=1e-9):

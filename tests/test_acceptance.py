@@ -30,15 +30,11 @@ def random_ququarts(n, seed):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def ideal_estimate(state, kind):
+def ideal_estimate(state):
     cfg_n = measurement.ExperimentConfig(total_pairs=10**6)
     cfg_r = measurement.ExperimentConfig(total_pairs=10**6, basis="rotated45")
-    if kind == "qutrit":
-        rec_n = measurement.expected_coincidences(state, cfg_n)
-        rec_r = measurement.expected_coincidences(state, cfg_r)
-    else:
-        rec_n = measurement.expected_coincidences_ququart(state, cfg_n)
-        rec_r = measurement.expected_coincidences_ququart(state, cfg_r)
+    rec_n = measurement.expected_coincidences(state, cfg_n)
+    rec_r = measurement.expected_coincidences(state, cfg_r)
     return reconstruct.merge_estimates(
         reconstruct.magnitudes_from_record(rec_n),
         reconstruct.magnitudes_from_record(rec_r),
@@ -236,7 +232,7 @@ def test_criterion_8_ideal_tomography_round_trip():
     worst_overlap = 1.0
     for c in random_qutrits(500, seed=808):
         q = qutrit.QutritState(*c)
-        res = solve_qutrit(ideal_estimate(q, "qutrit"))
+        res = solve_qutrit(ideal_estimate(q))
         sol, overlap = best_match(res.solutions(), np.asarray(q.amplitudes))
         worst_overlap = min(worst_overlap, overlap)
         rep_t, rep_s = qutrit.quantify(q), qutrit.quantify(sol)
@@ -244,7 +240,7 @@ def test_criterion_8_ideal_tomography_round_trip():
         worst_k = max(worst_k, abs(rep_s.schmidt_k - rep_t.schmidt_k))
     for c in random_ququarts(500, seed=809):
         s = ququart.QuquartState(*c)
-        res = solve_ququart(ideal_estimate(s, "ququart"))
+        res = solve_ququart(ideal_estimate(s))
         sol, overlap = best_match(res.solutions(), np.asarray(s.amplitudes))
         worst_overlap = min(worst_overlap, overlap)
         rep_t, rep_s = ququart.quantify(s), ququart.quantify(sol)
@@ -295,12 +291,12 @@ def test_criterion_10_real_coefficient_shortcuts():
     worst = 0.0
     for _ in range(1000):
         q = qutrit.make_qutrit(*rng.normal(size=3))
-        k, c = reconstruct.qutrit_real_shortcut(ideal_estimate(q, "qutrit"))
+        k, c = reconstruct.qutrit_real_shortcut(ideal_estimate(q))
         rep = qutrit.quantify(q)
         worst = max(worst, abs(k - rep.schmidt_k), abs(c - rep.concurrence))
     for _ in range(1000):
         s = ququart.make_ququart(*rng.normal(size=4))
-        k, ci = reconstruct.ququart_real_shortcut(ideal_estimate(s, "ququart"))
+        k, ci = reconstruct.ququart_real_shortcut(ideal_estimate(s))
         rep = ququart.quantify(s)
         worst = max(worst, abs(k - rep.schmidt_k), abs(ci - rep.i_concurrence))
     ok = worst <= 1e-9

@@ -64,6 +64,22 @@ def test_state_rejects_non_finite_amplitudes():
         ququart.QuquartState(1, 0, 0, complex("nan+nanj"))
 
 
+@pytest.mark.parametrize("make, size", [(qutrit.make_qutrit, 3), (ququart.make_ququart, 4)])
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.nan),
+                                 math.inf, -math.inf, complex(0, math.inf),
+                                 complex(0, -math.inf)])
+@pytest.mark.parametrize("rest", [0.0, 0.5])
+def test_make_rejects_non_finite_amplitudes(make, size, bad, rest):
+    # a NaN part beside zeros is no zero vector, and beside 0.5 it leaves
+    # the largest part finite: each part must be checked
+    for i in range(size):
+        amps = [rest] * size
+        amps[i] = bad
+        with pytest.raises(ValueError, match="amplitudes must be finite") as err:
+            make(*amps)
+        assert type(err.value) is ValueError
+
+
 @pytest.mark.parametrize("make, amps", [(qutrit.QutritState, (1, 1, 0)),
                                         (ququart.QuquartState, (1, 1, 0, 0))])
 def test_unnormalized_state_prints_its_squared_norm(make, amps):

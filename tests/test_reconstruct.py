@@ -545,24 +545,8 @@ def test_qutrit_shortcut_examples():
         assert abs(c - c_want) <= 1e-9
 
 
-def test_qutrit_shortcut_accepts_explicit_singles():
-    q = qutrit.make_qutrit(0.6, 0, 0.8)
-    rec_n, rec_r = ideal_records(q)
-    est = reconstruct.merge_estimates(
-        reconstruct.magnitudes_from_record(rec_n),
-        reconstruct.magnitudes_from_record(rec_r),
-    )
-    singles = rec_n.single_particle()
-    singles45 = rec_r.single_particle()
-    k, c = reconstruct.qutrit_real_shortcut(est, singles, singles45)
-    rep = qutrit.quantify(q)
-    assert abs(k - rep.schmidt_k) <= 1e-9
-    assert abs(c - rep.concurrence) <= 1e-9
-
-
 def test_qutrit_shortcut_rejects_out_of_range():
-    # a sampled record of a nearly product state pushes dw^2 + dw45^2 past 1,
-    # with and without the records' single-photon probabilities
+    # a sampled record of a nearly product state pushes dw^2 + dw45^2 past 1
     q = qutrit.make_qutrit(1, 0.01, 0)
     cfg_n = measurement.ExperimentConfig(total_pairs=10**6, noise="sampled", seed=0)
     cfg_r = measurement.ExperimentConfig(
@@ -574,10 +558,9 @@ def test_qutrit_shortcut_rejects_out_of_range():
         reconstruct.magnitudes_from_record(rec_n),
         reconstruct.magnitudes_from_record(rec_r),
     )
-    for singles in ((), (rec_n.single_particle(), rec_r.single_particle())):
-        with pytest.raises(reconstruct.Inconsistent) as err:
-            reconstruct.qutrit_real_shortcut(est, *singles)
-        assert err.value.clipped == (1.0, 0.0)
+    with pytest.raises(reconstruct.Inconsistent) as err:
+        reconstruct.qutrit_real_shortcut(est)
+    assert err.value.clipped == (1.0, 0.0)
 
 
 def test_qutrit_shortcut_random_real_states():
@@ -1624,6 +1607,18 @@ def test_acos_clips_as_np_clip_does_bit_for_bit():
                   np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.5, 3.0, -7.0])
     x = np.concatenate([x, np.random.default_rng(62).normal(scale=2.0, size=1000)])
     assert same_bits(reconstruct._acos(x), np.arccos(np.clip(x, -1.0, 1.0)))
+
+
+def test_acos1_gives_the_bits_of_acos():
+    # finite input only, as documented: at NaN _acos1 returns pi, _acos NaN
+    tiny = math.ulp(0.0)
+    x = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+         math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0), 1.5, -1.5, 1e300,
+         -1e300, math.inf, -math.inf, tiny, -tiny, 2 * tiny, -2 * tiny]
+    x += np.random.default_rng(64).normal(scale=2.0, size=100_000).tolist()
+    got = [reconstruct._acos1(v) for v in x]
+    want = [float(reconstruct._acos(v)) for v in x]
+    assert same_bits(got, want)
 
 
 def test_ququart_rms_equals_the_public_equations_bit_for_bit():

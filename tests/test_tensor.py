@@ -194,7 +194,7 @@ def test_vn_entropy_positivity_threshold():
     with pytest.raises(tensor.ConsistencyError, match="-1.000e-12"):
         tensor.vn_entropy([1.0, math.nextafter(-1e-12, -1.0)])
     with pytest.raises(tensor.ConsistencyError, match="-1.000e-06"):
-        tensor.vn_entropy([1.0, -1e-6], clip=1e-7)
+        tensor.vn_entropy([1.0, -1e-6])
     with pytest.raises(tensor.ConsistencyError):
         tensor.vn_entropy([-math.inf, 1.0])
 
