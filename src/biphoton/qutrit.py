@@ -117,8 +117,16 @@ def _squared_norm(amps):
 
 
 def _check_norm(amps, kind):
-    n = _squared_norm(amps)
+    try:
+        n = _squared_norm(amps)
+    except OverflowError:
+        # a float's ** raises where its product would give inf
+        n = math.inf
     if not abs(n - 1.0) <= 1e-9:  # NaN fails too
+        # make_* refuses non-finite parts too, so it is no remedy for them;
+        # finite parts whose squares overflow keep the norm message
+        if not all(cmath.isfinite(c) for c in amps):
+            raise ValueError(f"{kind} amplitudes must be finite, got {list(amps)!r}")
         raise ValueError(f"{kind} amplitudes have squared norm {n!r}; use make_{kind}")
 
 

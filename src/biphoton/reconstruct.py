@@ -26,6 +26,14 @@ residual is rounding noise, as at a double root.  The rows within the keep
 threshold are deduplicated as one amplitude array, and only the solutions
 that get printed are built into states.
 
+With counting noise the fit is square, so J is singular at a minimum with a
+nonzero residual, and Gauss-Newton steps converge only linearly there.  So
+a candidate of a sampled record that is still moving after NEWTON_AFTER
+steps takes damped full Newton steps: the residual's second-order term
+joins J^T J wherever the damped sum stays positive definite, from the
+cosines the kernel already takes.  Noise-free records never switch, since
+an exact fit leaves that term zero, and keep their bits.
+
 Phase conventions (gauges):
 
 * qutrit: the middle amplitude C2 is taken real and non-negative; the two
@@ -62,6 +70,9 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 # and the one behind np.linalg.eigvals, which _roots calls the same way
 from numpy.linalg._umath_linalg import eigvals as _eigvals
+# and the one behind np.linalg.cholesky, which tells _step where a matrix is
+# positive definite
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky
 
 from .jsonio import complex_to_json
 from .measurement import _SETTING_SETS, BASES, KINDS, NOISE_MODES
@@ -336,6 +347,23 @@ STEP_TOL = 1e-12
 POLISH_STEPS = 60
 COST_FLOOR = 4e-30
 
+# a row of a sampled record still polishing after NEWTON_AFTER steps adds
+# the residual's second-order term S to J^T J wherever the damped sum is
+# positive definite: the fit is square, so J is singular at a minimum with a
+# nonzero residual, and Gauss-Newton steps only creep there.  Rows that stop
+# sooner, the median sampled solve among them (7 steps in the tomography
+# pool), keep their bits and their cost.  Over 300 Haar ququarts (seed 11,
+# N = 10^6, record seeds 2i+1 and 2i+2) the switch after 4, 6, 8, 10, 12
+# and 15 steps took 2,203, 2,217, 2,264, 2,316, 2,381 and 2,489 polish
+# steps, against 3,253 without it, and left 2 or 3 solves of 21 at
+# POLISH_STEPS.  The mean sampled generic ququart solve of the tomography
+# pool (80 solves, best of 3, two runs on a 2-core machine) took 708-746,
+# 710-718, 686-710, 698-734, 726-735 and 751-766 us, against 918 us; its
+# median rose to 685-716 us with the switch after 4 steps, against 573-622
+# us for the others and without it.  8 and 10 are within this noise; 10
+# leaves more rows on the Gauss-Newton path, bit for bit
+NEWTON_AFTER = 10
+
 # ququart records polish only the candidate rows that start near a root.
 # When some row starts at a root, the rows near one are polished; when none
 # does, every row is.  For noise-free records a row starts at a root below
@@ -392,7 +420,7 @@ def _acos1(x):
 
 @functools.lru_cache(maxsize=64)
 def _system_layout(forms_key, eq, n_eq, basis_key):
-    """The parts of _cosine_system's map to [r | J] that no record changes.
+    """The parts of _cosine_system's maps that no record changes.
 
     The keys hold forms and basis as (dtype, shape, bytes).  Returns the
     flat slots of to_rj that a system writes, the term of each slot, its
@@ -400,19 +428,23 @@ def _system_layout(forms_key, eq, n_eq, basis_key):
     with exact small integers: coef one-hot for the residuals, and
     -(coef one-hot) (forms @ basis.T) for the Jacobian.  So
     coef[term] * weight is each slot's value bit for bit, the signs of its
-    zeros included; the other slots stay +0.
+    zeros included; the other slots stay +0.  Last comes -g g^T of each
+    term's gradient g = basis . form, flattened (n_terms, d^2), the matrix
+    that S is built from.
     """
     forms, basis = (np.frombuffer(b, dtype).reshape(shape)
                     for dtype, shape, b in (forms_key, basis_key))
     n_terms, width = len(forms), 1 + len(basis)
+    grad = forms @ basis.T
     weight = np.zeros((2, n_terms, n_eq, width))
     weight[0, ..., 0] = np.eye(n_eq)[list(eq)]
-    weight[1, ..., 1:] = -weight[0, ..., :1] * (forms @ basis.T)[:, None, :]
+    weight[1, ..., 1:] = -weight[0, ..., :1] * grad[:, None, :]
     written = np.zeros(weight.shape, dtype=bool)
     written[0, ..., 0] = written[1, ..., 1:] = True
     slots = np.flatnonzero(written)
     term = np.broadcast_to(np.arange(n_terms)[:, None, None], weight.shape).reshape(-1)
-    return slots, term[slots], weight.reshape(-1)[slots], weight.size
+    outer = -(grad[:, :, None] * grad[:, None, :]).reshape(n_terms, -1)
+    return slots, term[slots], weight.reshape(-1)[slots], weight.size, outer
 
 
 def _array_key(a):
@@ -429,21 +461,32 @@ def _cosine_system(coef, forms, eq, rhs, basis):
     term, in one product per row, so that no row's bits depend on its batch.
     The angles are taken from the phases, so they are those of the public
     equations bit for bit (at a critical point of e2, where some sines are
-    pure rounding, those bits set the first step).  What does not depend on
-    coef and rhs is built once per (forms, eq, basis), in _system_layout.
+    pure rounding, those bits set the first step).  fun(x, True) also
+    returns S (k, d, d), the second-order term sum_e r_e Hess(r_e) of the
+    cost's Hessian J^T J + S.  Each term's Hessian is -coef cos(theta) g g^T
+    with g its gradient, so S is one product per row of the cosines, scaled
+    by coef and their equation's residual, with the terms' -g g^T.  What
+    does not depend on coef and rhs is built once per (forms, eq, basis), in
+    _system_layout.
     """
-    slots, term, weight, size = _system_layout(_array_key(forms), tuple(eq), len(rhs),
-                                               _array_key(basis))
+    slots, term, weight, size, outer = _system_layout(_array_key(forms), tuple(eq), len(rhs),
+                                                      _array_key(basis))
     to_rj = np.zeros(size)
     to_rj[slots] = coef[term] * weight
     to_rj, to_angle = to_rj.reshape(2 * len(coef), -1), forms.T
     offset = np.zeros(to_rj.shape[1])
     offset[::1 + len(basis)] = rhs
+    d = len(basis)
 
-    def fun(x):
+    def fun(x, second=False):
         theta = (x @ basis) @ to_angle
-        rj = np.concatenate([np.cos(theta), np.sin(theta)], axis=1)[:, None] @ to_rj - offset
-        return rj.reshape(len(x), len(rhs), 1 + len(basis))
+        cos = np.cos(theta)
+        rj = np.concatenate([cos, np.sin(theta)], axis=1)[:, None] @ to_rj - offset
+        rj = rj.reshape(len(x), len(rhs), 1 + d)
+        if not second:
+            return rj
+        s = (rj[:, eq, 0] * coef * cos)[:, None] @ outer
+        return rj, s.reshape(len(x), d, d)
 
     return fun
 
@@ -509,26 +552,47 @@ def _gram(rj):
     return np.ascontiguousarray(rj.transpose(0, 2, 1)) @ rj
 
 
-def _step(gram, damping, eye):
+def _step(gram, damping, eye, s=None):
     # the damping is relative to J^T J's size (its trace); its floors keep
     # J^T J positive definite at a double root or J = 0, as solve1 needs
     jtj = gram[:, 1:, 1:]
     shift = damping * jtj.trace(axis1=1, axis2=2) + 1e-30
-    return _solve1(jtj + shift[:, None, None] * eye, gram[:, 1:, 0])
+    damped = jtj + shift[:, None, None] * eye
+    if s is None:
+        return _solve1(damped, gram[:, 1:, 0])
+    # S can leave the damped matrix indefinite or singular.  The step to the
+    # model's stationary point can then land on a saddle or a maximum of the
+    # cost that lies below the row, and stop there: J = 0 at the real
+    # critical points of a real state.  Such rows take the Gauss-Newton step.
+    # The Cholesky kernel fills its factor with NaN, and flags it, where a
+    # matrix is not positive definite
+    newton = damped + s
+    with np.errstate(invalid="ignore"):
+        convex = ~np.isnan(_cholesky(newton)[:, 0, 0])
+    return _solve1(np.where(convex[:, None, None], newton, damped), gram[:, 1:, 0])
 
 
-def _polish(fun, x):
+def _polish(fun, x, newton=False):
     """Damped Gauss-Newton (Levenberg) steps on a batch of starting points.
 
-    fun maps phases x (k, d) to [r | J] (k, e, 1 + d); a row carries its
-    phases, its damping and G = [r | J]^T [r | J].  A step is kept where it
-    lowers r.r = G[0, 0]; the damping then shrinks, else it grows.  Each row
-    stops on its own step and leaves the batch, as it would polished alone:
-    once its step moves no phase by STEP_TOL, or, after its first step, once
-    r.r is at most COST_FLOOR, rounding noise.  That first step still halves
-    the offset the closed form leaves at a double root.  When no first step
-    moves a phase by STEP_TOL, as at exact closed-form roots, the rows come
-    back as they went in, after one evaluation.
+    fun maps phases x (k, d) to [r | J] (k, e, 1 + d) (see _cosine_system);
+    a row carries its phases, its damping and G = [r | J]^T [r | J].  A step
+    is kept where it lowers r.r = G[0, 0]; the damping then shrinks, else it
+    grows.  Each row stops on its own step and leaves the batch, as it would
+    polished alone: once its step moves no phase by STEP_TOL, or, after its
+    first step, once r.r is at most COST_FLOOR, rounding noise.  That first
+    step still halves the offset the closed form leaves at a double root.
+    When no first step moves a phase by STEP_TOL, as at exact closed-form
+    roots, the rows come back as they went in, after one evaluation.
+
+    With newton set (sampled records), the rows still polishing after
+    NEWTON_AFTER steps take damped full Newton steps: S of fun(x, True) joins
+    J^T J, through one more evaluation at the switch, where the damped sum
+    is positive definite (see _step).  A square fit has a singular J at a
+    minimum with a nonzero residual, where Gauss-Newton steps converge only
+    linearly.  The steps are counted from the start, so a row still ends as
+    it would polished alone.  Noise-free records of one state fit exactly,
+    where S vanishes, and never switch.
     """
     x = np.array(x, dtype=float)
     eye = np.eye(x.shape[1])
@@ -538,20 +602,32 @@ def _polish(fun, x):
     if not moving.any():
         return x
     out, live, damping = x.copy(), np.arange(len(x)), np.full(len(x), 1e-3)
-    for _ in range(POLISH_STEPS):
+    s = None
+    for n in range(POLISH_STEPS):
         if not moving.all():
             out[live] = x
             live, x, gram, damping, step = (a[moving] for a in (live, x, gram, damping, step))
+            if s is not None:
+                s = s[moving]
             if not len(live):
                 return out
+        if newton and n == NEWTON_AFTER:
+            s = fun(x, True)[1]
+            step = _step(gram, damping, eye, s)
         # wrapped, so a long step across a near-singular J keeps the phases precise
         x_new = _wrap(x - step)
-        gram_new = _gram(fun(x_new))
+        if s is None:
+            gram_new = _gram(fun(x_new))
+        else:
+            rj, s_new = fun(x_new, True)
+            gram_new = _gram(rj)
         ok = gram_new[:, 0, 0] < gram[:, 0, 0]
         x, gram = np.where(ok[:, None], x_new, x), np.where(ok[:, None, None], gram_new, gram)
+        if s is not None:
+            s = np.where(ok[:, None, None], s_new, s)
         damping *= np.where(ok, 0.1, 10.0)
         np.maximum(damping, 1e-14, out=damping, where=ok)
-        step = _step(gram, damping, eye)
+        step = _step(gram, damping, eye, s)
         moving = (gram[:, 0, 0] > COST_FLOOR) & (np.abs(step) >= STEP_TOL).any(axis=1)
     out[live] = x
     return out
@@ -624,9 +700,10 @@ def _solve(est, basis, x0, terms, residuals, amplitudes, gauge, warnings):
     to their rms on the public equations, all of them.  amplitudes maps
     display phases to amplitude rows (see _rank_solutions); the rows are
     deduplicated as one array, and only the printed solutions are built into
-    states.
+    states.  Rows of sampled records (noise_scale > 0) take Newton steps once
+    they have polished for NEWTON_AFTER steps (see _polish).
     """
-    phases = _wrap(_polish(_cosine_system(*terms, basis), x0) @ basis)
+    phases = _wrap(_polish(_cosine_system(*terms, basis), x0, est.noise_scale > 0.0) @ basis)
     rms = residuals(phases)
     ranked = _rank_solutions(phases, rms, est.noise_scale, amplitudes)
     state = QutritState if est.kind == "qutrit" else QuquartState

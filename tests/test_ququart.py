@@ -80,11 +80,30 @@ def test_make_rejects_non_finite_amplitudes(make, size, bad, rest):
         assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize("make, size", [(qutrit.QutritState, 3), (ququart.QuquartState, 4)])
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.nan),
+                                 math.inf, -math.inf, complex(0, math.inf),
+                                 complex(0, -math.inf)])
+def test_state_names_non_finite_amplitudes(make, size, bad):
+    # make_* refuses the same input, so the message must not send the caller
+    # there; beside a unit amplitude or zeros alike
+    for rest in (0.0, 1.0):
+        for i in range(size):
+            amps = [rest] * size
+            amps[i] = bad
+            with pytest.raises(ValueError, match="amplitudes must be finite") as err:
+                make(*amps)
+            assert "make_" not in str(err.value)
+
+
 @pytest.mark.parametrize("make, amps", [(qutrit.QutritState, (1, 1, 0)),
-                                        (ququart.QuquartState, (1, 1, 0, 0))])
+                                        (ququart.QuquartState, (1, 1, 0, 0)),
+                                        # finite, but the squares overflow
+                                        (qutrit.QutritState, (1e200, 0, 0)),
+                                        (ququart.QuquartState, (0, 0, 1e200j, 0))])
 def test_unnormalized_state_prints_its_squared_norm(make, amps):
     # one norm check for both kinds, in Python floats whatever the input type
-    with pytest.raises(ValueError, match=r"squared norm 2\.0; use make_"):
+    with pytest.raises(ValueError, match=r"squared norm (2\.0|inf); use make_"):
         make(*amps)
 
 

@@ -939,12 +939,12 @@ def solve_partial(kind, est):
 
 
 def record_polish_calls(monkeypatch):
-    """(fun, starting rows, polished rows) of every _polish call, in order."""
+    """(fun, starting rows, polished rows, newton) of every _polish call, in order."""
     calls, polish = [], reconstruct._polish
 
-    def spy(fun, x):
-        out = polish(fun, x)
-        calls.append((fun, np.array(x, dtype=float), out))
+    def spy(fun, x, newton=False):
+        out = polish(fun, x, newton)
+        calls.append((fun, np.array(x, dtype=float), out, newton))
         return out
 
     monkeypatch.setattr(reconstruct, "_polish", spy)
@@ -952,9 +952,9 @@ def record_polish_calls(monkeypatch):
 
 
 def count_batches(fun, sizes):
-    def counted(x):
+    def counted(x, *second):
         sizes.append(len(x))
-        return fun(x)
+        return fun(x, *second)
 
     return counted
 
@@ -994,7 +994,7 @@ def test_ideal_ququart_polishes_only_rows_that_start_near_a_root(monkeypatch):
     est = ideal_estimate(ququart.make_ququart(*_GENERIC_QUQUART))
     x0, rms = starting_rms(est)
     res = reconstruct.ququart_phases(est)
-    (_, polished, _), = calls
+    (_, polished, _, _), = calls
     assert rms.min() < reconstruct.ROOT_START_RMS
     near = rms < reconstruct.NEAR_ROOT_RMS
     assert near.sum() < len(x0)
@@ -1022,7 +1022,7 @@ def test_sampled_ququart_polishes_only_rows_that_start_within_the_keep_band(monk
     est = sampled_estimate(ququart.make_ququart(*_GENERIC_QUQUART), 0)
     x0, rms = starting_rms(est)
     reconstruct.ququart_phases(est)
-    (_, polished, _), = calls
+    (_, polished, _, _), = calls
     inside = rms < keep_band_floor(est)
     assert 0 < inside.sum() < len(x0)
     assert np.array_equal(polished, x0[inside])
@@ -1037,7 +1037,7 @@ def test_sampled_ququart_polishes_every_row_when_none_starts_within_the_band(mon
     calls = record_polish_calls(monkeypatch)
     x0, rms = starting_rms(est)
     res = reconstruct.ququart_phases(est)
-    (_, polished, _), = calls
+    (_, polished, _, _), = calls
     assert rms.min() >= keep_band_floor(est)
     assert len(x0) == 40
     assert np.array_equal(polished, x0)
@@ -1052,7 +1052,7 @@ def test_sampled_ququart_with_a_pinned_amplitude_drops_its_far_seeds(monkeypatch
     est = sampled_estimate(ququart.make_ququart(0.5, 0.3 + 0.4j, 0.1 - 0.5j, 0.001), 13)
     with pytest.raises(reconstruct.PhaseUnobservable):
         reconstruct.ququart_phases(est)
-    (_, polished, _), = calls
+    (_, polished, _, _), = calls
     m, n = est.magnitudes, est.magnitudes45
     assert m[3] > 0.0 and reconstruct._zero_threshold(est) > m[3]
     x0 = reconstruct._ququart_candidates(m, reconstruct._frame_terms("ququart", m, n)[3],
@@ -1157,10 +1157,10 @@ def test_ideal_real_ququart_polishes_only_its_real_critical_rows(monkeypatch):
     x0, rms = starting_rms(est)
     sizes, polish = [], reconstruct._polish
     monkeypatch.setattr(reconstruct, "_polish",
-                        lambda fun, x: polish(count_batches(fun, sizes), x))
+                        lambda fun, x, newton: polish(count_batches(fun, sizes), x, newton))
     calls = record_polish_calls(monkeypatch)
     res = reconstruct.ququart_phases(est)
-    (_, polished, _), = calls
+    (_, polished, _, _), = calls
     # both signs of w at the one critical point (u, v) in {0, pi}^2 whose
     # real w starts at the root to rounding; another critical point with w
     # in {0, pi} is no root
@@ -1228,7 +1228,7 @@ def test_real_qutrit_rows_stop_at_the_cost_floor(monkeypatch):
     c = real_states(15, 3, 13)[14]
     sizes, polish = [], reconstruct._polish
     monkeypatch.setattr(reconstruct, "_polish",
-                        lambda fun, x: polish(count_batches(fun, sizes), x))
+                        lambda fun, x, newton: polish(count_batches(fun, sizes), x, newton))
     res = reconstruct.qutrit_phases(ideal_estimate(qutrit.make_qutrit(*c)))
     assert sizes == [4, 4]
     assert truth_overlap(res, c) >= 1 - 1e-12
@@ -1244,19 +1244,33 @@ def test_converged_rows_match_the_same_row_polished_alone(monkeypatch, kind):
         s = _MAKE_SOLVE[kind][0](*(gen.normal(size=dim) + 1j * gen.normal(size=dim)))
         for est in (ideal_estimate(s), sampled_estimate(s, 2 * i)):
             solve_partial(kind, est)
-    worst, rows = 0.0, 0
-    total = sum(len(x0) for _, x0, _ in calls)
-    for fun, x0, out in calls:
+    # sampled records of real amplitudes leave minima of nonzero residual
+    # beside their double roots, and rows run on past the Newton switch
+    for i, c in enumerate(real_states(3, dim, 13)):
+        solve_partial(kind, sampled_estimate(_MAKE_SOLVE[kind][0](*c), 2 * i))
+    worst, rows, switched = 0.0, 0, 0
+    total = sum(len(x0) for _, x0, _, _ in calls)
+    for fun, x0, out, newton in calls:
         for start, got in zip(x0, out):
-            sizes = []
-            alone = polish(count_batches(fun, sizes), start[None])[0]
-            # one evaluation at the start and one per step taken: a row
-            # still moving at POLISH_STEPS is exempt
-            if len(sizes) <= reconstruct.POLISH_STEPS:
+            calls_alone = []
+
+            def counted(x, *second):
+                calls_alone.append(bool(second))
+                return fun(x, *second)
+
+            alone = polish(counted, start[None], newton)[0]
+            # one evaluation at the start, one per step taken and one at the
+            # switch to Newton steps: a row still moving at POLISH_STEPS is
+            # exempt
+            newton_steps = calls_alone.count(True)
+            if len(calls_alone) - 1 - (newton_steps > 0) < reconstruct.POLISH_STEPS:
                 worst = max(worst, float(np.max(np.abs(reconstruct._wrap(got - alone)))))
                 rows += 1
-    # 80 of 80 qutrit rows and 762 of 800 ququart rows stop on their own
+                switched += newton_steps > 0
+    # 92 of 92 qutrit rows and 228 of 228 ququart rows stop on their own,
+    # 8 and 80 of them after the switch
     assert rows >= 0.9 * total
+    assert switched >= 1
     assert worst <= 1e-12
 
 
@@ -1273,7 +1287,10 @@ def test_converged_rows_match_the_same_row_polished_alone(monkeypatch, kind):
 ], ids=["ququart-0", "qutrit-1", "qutrit-2", "ququart-2", "ququart-3", "ququart-3-real"])
 def test_polish_is_finite_and_silent_for_every_free_phase_count(monkeypatch, kind, amps, free):
     # the stacked solve kernel returns NaN with a RuntimeWarning for a
-    # singular matrix; the damping floors must keep every one regular
+    # singular matrix; the damping floors must keep every damped J^T J
+    # regular.  Past NEWTON_AFTER steps, S of sampled records joins it and
+    # can leave it indefinite or singular
+    polish = reconstruct._polish
     calls = record_polish_calls(monkeypatch)
     s = _MAKE_SOLVE[kind][0](*amps)
     for est in (ideal_estimate(s), sampled_estimate(s, 3)):
@@ -1281,8 +1298,104 @@ def test_polish_is_finite_and_silent_for_every_free_phase_count(monkeypatch, kin
             warnings.simplefilter("error", RuntimeWarning)
             res = solve_partial(kind, est)
         assert all(np.isfinite(sol.amplitudes).all() for sol in res.solutions())
-    assert {x0.shape[1] for _, x0, _ in calls} == {free}
-    assert all(np.isfinite(out).all() for _, _, out in calls)
+    assert {x0.shape[1] for _, x0, _, _ in calls} == {free}
+    assert [newton for *_, newton in calls] == [False, True]
+    assert all(np.isfinite(out).all() for _, _, out, _ in calls)
+    # the sampled record's system from 40 starts spread over the torus, so
+    # rows run past the switch; with no free phase there is no step to take
+    sizes = []
+    x0 = np.random.default_rng(5).uniform(-math.pi, math.pi, size=(40, free))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = polish(count_batches(calls[-1][0], sizes), x0, True)
+    assert np.isfinite(out).all()
+    assert len(sizes) > reconstruct.NEWTON_AFTER + 2 if free else sizes == [40]
+
+
+def test_newton_step_needs_a_positive_definite_matrix():
+    # where S leaves the damped matrix indefinite or singular, _step takes
+    # the Gauss-Newton step bit for bit, with no warning; elsewhere it solves
+    # with S added
+    est = sampled_estimate(ququart.make_ququart(0.45, 0.35, -0.55, 0.6), 1)
+    fun = reconstruct._cosine_system(
+        *reconstruct._frame_terms("ququart", est.magnitudes, est.magnitudes45), _ALL_FREE)
+    # away from the fit: 11 of these 12 damped matrices are indefinite with S
+    x = np.random.default_rng(7).uniform(-math.pi, math.pi, size=(12, 3))
+    rj, s = fun(x, True)
+    gram, eye, damping = reconstruct._gram(rj), np.eye(3), np.full(12, 1e-3)
+    damped = gram[:, 1:, 1:] + (damping * np.trace(gram[:, 1:, 1:], axis1=1, axis2=2)
+                                + 1e-30)[:, None, None] * eye
+    indefinite = -s - 10.0 * damped
+    # J = 0 leaves the damped matrix at the 1e-30 floor, which this S cancels
+    zero = np.zeros((1, 4, 4))
+    zero[0, 0, 0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        newton = reconstruct._step(gram, damping, eye, s)
+        want = [np.linalg.solve(damped[i] + s[i], gram[i, 1:, 0]) if
+                np.linalg.eigvalsh(damped[i] + s[i])[0] > 0 else None for i in range(12)]
+        gauss = reconstruct._step(gram, damping, eye)
+        assert same_bits(reconstruct._step(gram, damping, eye, indefinite), gauss)
+        assert same_bits(reconstruct._step(zero, 1e-3, eye, -1e-30 * eye[None]),
+                         reconstruct._step(zero, 1e-3, eye))
+    assert any(w is not None for w in want) and any(w is None for w in want)
+    for got, w, g in zip(newton, want, gauss):
+        assert np.allclose(got, w, rtol=1e-9, atol=1e-15) if w is not None else same_bits(got, g)
+
+
+def test_sampled_real_ququart_prints_no_maximum_of_the_cost():
+    # at a real critical point J = 0, and there the cost can have a local
+    # maximum below a row's cost: with S added whether or not the damped
+    # matrix was positive definite, a Newton step landed on one, and the row
+    # stopped there and printed it (rms 4.3e-4)
+    c = nth_draw(33, 2, real_draw)
+    est = sampled_estimate(ququart.make_ququart(*c), 5)
+    res = reconstruct.ququart_phases(est)
+    fun = reconstruct._cosine_system(
+        *reconstruct._frame_terms("ququart", est.magnitudes, est.magnitudes45), _ALL_FREE)
+    for sol in res.solutions():
+        phases = np.angle(sol.amplitudes)
+        rj, s = fun((phases - phases.mean())[None, :3], True)
+        hessian = rj[0, :, 1:].T @ rj[0, :, 1:] + s[0]
+        assert np.linalg.eigvalsh(hessian)[-1] > 0
+
+
+def criterion_9_ququart_estimate(index):
+    # the ququart analogue of criterion 9: Haar draws of default_rng(919),
+    # records of draw i sampled with seeds i and i + 100000
+    c = nth_draw(919, index, lambda gen: gen.normal(size=4) + 1j * gen.normal(size=4))
+    state = ququart.make_ququart(*c)
+    recs = [measurement.sample_coincidences(state, measurement.ExperimentConfig(
+        total_pairs=10**6, basis=basis, noise="sampled", seed=index + offset))
+        for basis, offset in (("natural", 0), ("rotated45", 100_000))]
+    return reconstruct.merge_estimates(*(reconstruct.magnitudes_from_record(r) for r in recs))
+
+
+def test_sampled_ququart_band_rows_stop_with_newton_steps(monkeypatch):
+    # the two rows of a noise-level minimum (rms 7.3e-3) walked a flat valley
+    # with Gauss-Newton steps for all POLISH_STEPS steps and stopped at rms
+    # 0.007278851731649846 and 0.007278851731649873; with Newton steps past
+    # the switch every row stops within 15 steps
+    est = criterion_9_ququart_estimate(92)
+    sizes, second, polish = [], [], reconstruct._polish
+
+    def counted(fun):
+        def evaluate(x, *flag):
+            sizes.append(len(x))
+            second.append(bool(flag))
+            return fun(x, *flag)
+        return evaluate
+
+    monkeypatch.setattr(reconstruct, "_polish",
+                        lambda fun, x, newton: polish(counted(fun), x, newton))
+    res = reconstruct.ququart_phases(est)
+    # one evaluation at the start, one per step, one at the switch
+    assert any(second)
+    assert len(sizes) - 2 < reconstruct.POLISH_STEPS
+    rms = solution_rms(est, res)
+    assert sum(r <= 1e-12 for r in rms) == 4
+    band = [r for r in rms if r > 1e-12]
+    assert len(band) == 2 and max(band) <= 0.007278851731649873
 
 
 def test_polish_leaves_rows_where_the_jacobian_vanishes():
@@ -1548,7 +1661,7 @@ def test_ququart_candidate_stage_equals_its_first_form_bit_for_bit(monkeypatch, 
         reconstruct.ququart_phases(est)
     except reconstruct.PhaseUnobservable:
         pass
-    (_, polished, _), = calls
+    (_, polished, _, _), = calls
     assert same_bits(polished, reference_polished_rows(est, active, want))
 
 
