@@ -474,9 +474,9 @@ def _cosine_system(coef, forms, eq, rhs, basis):
     to_rj = np.zeros(size)
     to_rj[slots] = coef[term] * weight
     to_rj, to_angle = to_rj.reshape(2 * len(coef), -1), forms.T
-    offset = np.zeros(to_rj.shape[1])
-    offset[::1 + len(basis)] = rhs
     d = len(basis)
+    offset = np.zeros(to_rj.shape[1])
+    offset[::1 + d] = rhs
 
     def fun(x, second=False):
         theta = (x @ basis) @ to_angle
