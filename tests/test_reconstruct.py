@@ -1395,7 +1395,8 @@ def test_sampled_ququart_band_rows_stop_with_newton_steps(monkeypatch):
     rms = solution_rms(est, res)
     assert sum(r <= 1e-12 for r in rms) == 4
     band = [r for r in rms if r > 1e-12]
-    assert len(band) == 2 and max(band) <= 0.007278851731649873
+    # a flat minimum: rms is settled by rounding, so allow a few ulp
+    assert len(band) == 2 and max(band) <= 0.007278851731649873 * (1 + 1e-12)
 
 
 def test_polish_leaves_rows_where_the_jacobian_vanishes():
