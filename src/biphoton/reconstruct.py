@@ -70,9 +70,6 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 # and the one behind np.linalg.eigvals, which _roots calls the same way
 from numpy.linalg._umath_linalg import eigvals as _eigvals
-# and the one behind np.linalg.cholesky, which tells _step where a matrix is
-# positive definite
-from numpy.linalg._umath_linalg import cholesky_lo as _cholesky
 
 from .jsonio import complex_to_json
 from .measurement import _SETTING_SETS, BASES, KINDS, NOISE_MODES
@@ -563,12 +560,9 @@ def _step(gram, damping, eye, s=None):
     # S can leave the damped matrix indefinite or singular.  The step to the
     # model's stationary point can then land on a saddle or a maximum of the
     # cost that lies below the row, and stop there: J = 0 at the real
-    # critical points of a real state.  Such rows take the Gauss-Newton step.
-    # The Cholesky kernel fills its factor with NaN, and flags it, where a
-    # matrix is not positive definite
+    # critical points of a real state.  Such rows take the Gauss-Newton step
     newton = damped + s
-    with np.errstate(invalid="ignore"):
-        convex = ~np.isnan(_cholesky(newton)[:, 0, 0])
+    convex = np.linalg.eigvalsh(newton)[:, 0] > 0
     return _solve1(np.where(convex[:, None, None], newton, damped), gram[:, 1:, 0])
 
 
