@@ -40,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .jsonio import finite_number
-from .tensor import ConsistencyError, schmidt_number
 from . import qutrit as _qutrit
 from . import ququart as _ququart
 
@@ -248,16 +247,8 @@ def beam_splitter_wavefunction(q):
     adds no entanglement; the Schmidt parameter of the composite is verified
     to match the bare qutrit at call time.
     """
-    m_pol = _qutrit.wavefunction(q).reshape(2, 2)
     arm = np.array([1.0, -1.0]) / SQRT2
-    composite = np.kron(m_pol, np.outer(arm, arm)).reshape(16)
-    k_comp = schmidt_number(composite, 4)
-    k_q = _qutrit.quantify(q).schmidt_k
-    if abs(k_comp - k_q) > 1e-10:
-        raise ConsistencyError(
-            f"angular factor changed K: composite {k_comp!r} vs qutrit {k_q!r}"
-        )
-    return composite
+    return _qutrit._arm_composite(q, np.outer(arm, arm), 1)[0]
 
 
 def _setting_probabilities(state, basis):

@@ -25,14 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    SCHMIDT_WEIGHT_CUTOFF,
-    ConsistencyError,
-    schmidt_number,
-)
+from .tensor import SCHMIDT_WEIGHT_CUTOFF, ConsistencyError
 from .qutrit import (
     ORACLE_TOL,
     U45,
+    _arm_composite,
     _block_purity,
     _check_close,
     _check_norm,
@@ -40,13 +37,10 @@ from .qutrit import (
     _decomposition,
     _degree_p,
     _entropy,
+    _mode_pair,
     _normalized,
     _partner,
     _spectrum,
-    _top_mode,
-    _unit,
-    quantify as qutrit_quantify,
-    wavefunction as qutrit_wavefunction,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -272,10 +266,8 @@ def schmidt_decompose(s):
     det = _pair_determinant(s)
     lam_hi, lam_lo = _spectrum(p, 4.0 * abs(det) ** 2, 4)
     a = ((c1 * _INV_SQRT2, c2 * _INV_SQRT2), (c3 * _INV_SQRT2, c4 * _INV_SQRT2))
-    e = _top_mode(xi, p)
+    e, w = _mode_pair(a, xi, p)
     f = _partner(e, 1.0)
-    ec0, ec1 = e[0].conjugate(), e[1].conjugate()
-    w = _unit(a[0][0] * ec0 + a[1][0] * ec1, a[0][1] * ec0 + a[1][1] * ec1)
     g = _partner(w, det / abs(det) if det else 1.0)
     _check_terms(math.sqrt(lam_hi), e, w, math.sqrt(lam_lo), f, g, a)
     # the product e w^T gives the columns (e, w)/sqrt(2) and i (e, -w)/sqrt(2),
@@ -376,13 +368,4 @@ def qutrit_to_ququart_postselect(q):
     Returns (composite, k_total) where composite is the 16-component vector
     on the product basis of (polarization x arm) single-photon modes.
     """
-    m_pol = qutrit_wavefunction(q).reshape(2, 2)
-    arm = np.array([[0.0, 1.0], [1.0, 0.0]]) / SQRT2
-    composite = np.kron(m_pol, arm).reshape(16)
-    k_total = schmidt_number(composite, 4)
-    k_qutrit = qutrit_quantify(q).schmidt_k
-    if abs(k_total - 2.0 * k_qutrit) > 1e-10:
-        raise ConsistencyError(
-            f"postselected K={k_total!r} is not twice the qutrit K={k_qutrit!r}"
-        )
-    return composite, k_total
+    return _arm_composite(q, np.array([[0.0, 1.0], [1.0, 0.0]]) / SQRT2, 2)

@@ -31,6 +31,7 @@ from .tensor import (
     SCHMIDT_WEIGHT_CUTOFF,
     ConsistencyError,
     SchmidtDecomposition,
+    schmidt_number,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -316,15 +317,14 @@ def schmidt_decompose(q):
     det = c1 * c3 - c2 * c2 / 2.0
     lam_p, lam_m = _spectrum(p, 4.0 * abs(det) ** 2, 2)
     m01 = c2 / SQRT2
-    v0, v1 = _top_mode(xi, p)
-    v0c, v1c = v0.conjugate(), v1.conjugate()
-    w0, w1 = _unit(c1 * v0c + m01 * v1c, m01 * v0c + c3 * v1c)
-    if (v0c * w0 + v1c * w1).real >= 0.0:
+    m = ((c1, m01), (m01, c3))
+    (v0, v1), (w0, w1) = _mode_pair(m, xi, p)
+    if (v0.conjugate() * w0 + v1.conjugate() * w1).real >= 0.0:
         u = _unit(v0 + w0, v1 + w1)
     else:
         u = _unit(1j * (v0 - w0), 1j * (v1 - w1))
     x = _partner(u, cmath.sqrt(det / abs(det)) if det else 1.0)
-    _check_terms(math.sqrt(lam_p), u, u, math.sqrt(lam_m), x, x, ((c1, m01), (m01, c3)))
+    _check_terms(math.sqrt(lam_p), u, u, math.sqrt(lam_m), x, x, m)
     if lam_m >= SCHMIDT_WEIGHT_CUTOFF:
         return _decomposition([lam_p, lam_m], [u[0] + 0j, x[0] + 0j, u[1] + 0j, x[1] + 0j])
     return _decomposition([lam_p], [u[0] + 0j, u[1] + 0j])
@@ -336,15 +336,21 @@ def _unit(a, b):
     return a / n, b / n
 
 
-def _top_mode(xi, p):
-    # unit eigenvector of (1 + xi.sigma)/2 for (1 + P)/2, with P = |xi| and
-    # (1, 0) at P = 0; of the two forms, the one without cancellation
+def _mode_pair(a, xi, p):
+    # the first Schmidt pair of a 2x2 amplitude block A = ((a00, a01),
+    # (a10, a11)) whose first photon has the polarization vector xi and the
+    # degree p: e, the top mode of A A^dagger, is the unit eigenvector of
+    # (1 + xi.sigma)/2 for (1 + P)/2, (1, 0) at P = 0, of its two forms the
+    # one without cancellation; its partner is w = A^T e*/|A^T e*|
     x, y, z = xi
     if p == 0.0:
-        return 1.0 + 0j, 0j
-    if z >= 0.0:
-        return _unit(complex(p + z), complex(x, y))
-    return _unit(complex(x, -y), complex(p - z))
+        e = (1.0 + 0j, 0j)
+    elif z >= 0.0:
+        e = _unit(complex(p + z), complex(x, y))
+    else:
+        e = _unit(complex(x, -y), complex(p - z))
+    e0c, e1c = e[0].conjugate(), e[1].conjugate()
+    return e, _unit(a[0][0] * e0c + a[1][0] * e1c, a[0][1] * e0c + a[1][1] * e1c)
 
 
 def _partner(u, phase):
@@ -452,6 +458,22 @@ def polarization(q):
     # + 0.0 turns a -0.0 component (a vanishing imaginary part) into 0.0
     x, y, z = xi
     return PolarizationReport((float(x) + 0.0, float(y) + 0.0, float(z) + 0.0), p)
+
+
+def _arm_composite(q, arm, ratio):
+    # a qutrit whose photons also carry an output-arm label: the polarization
+    # amplitude matrix times the 2x2 arm matrix, as the 16-component vector
+    # on the product basis of (polarization x arm) single-photon modes, and
+    # its K from the partial-trace oracle, checked at call time to be ratio
+    # times the qutrit's closed-form K
+    composite = np.kron(amplitude_matrix(q), arm).reshape(16)
+    k = schmidt_number(composite, 4)
+    k_qutrit = quantify(q).schmidt_k
+    if abs(k - ratio * k_qutrit) > 1e-10:
+        raise ConsistencyError(
+            f"composite K={k!r} is not {ratio} times the qutrit K={k_qutrit!r}"
+        )
+    return composite, k
 
 
 # the 45-degree polarizer frame as an integer matrix on one photon's (H, V):

@@ -7,7 +7,7 @@ and on edge states, and the entry-by-entry Schmidt rebuild check."""
 import numpy as np
 import pytest
 
-from biphoton import ququart, qutrit, tensor
+from biphoton import measurement, ququart, qutrit, tensor
 from biphoton.tensor import ConsistencyError
 
 
@@ -188,3 +188,25 @@ def test_schmidt_rebuild_check_fires_on_each_entry(i, j):
     block[i][j] += 1e-9
     with pytest.raises(ConsistencyError, match="Schmidt terms rebuild"):
         qutrit._check_terms(s1, a, b, s2, c, d, block)
+
+
+def test_spin_flip_check_fires(monkeypatch):
+    qutrit.spin_flip_concurrence(QUTRIT)
+    shifted(monkeypatch, qutrit, "concurrence")
+    with pytest.raises(ConsistencyError, match="spin-flip concurrence"):
+        qutrit.spin_flip_concurrence(QUTRIT)
+
+
+@pytest.mark.parametrize("build, ratio", [
+    (measurement.beam_splitter_wavefunction, 1),
+    (ququart.qutrit_to_ququart_postselect, 2),
+], ids=["beam_splitter", "postselect"])
+def test_arm_composite_k_check_fires(monkeypatch, build, ratio):
+    # the composite's K against ratio times the qutrit's; the callers' arm
+    # matrices keep that relation for every qutrit, so the shift goes on the
+    # oracle
+    build(QUTRIT)
+    original = qutrit.schmidt_number
+    monkeypatch.setattr(qutrit, "schmidt_number", lambda psi, d: original(psi, d) + OFF)
+    with pytest.raises(ConsistencyError, match=f"is not {ratio} times the qutrit K"):
+        build(QUTRIT)

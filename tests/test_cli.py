@@ -355,16 +355,6 @@ def test_simulate_sampled_deterministic(capsys):
     assert doc["mode"] == "sampled"
 
 
-def test_simulate_seed_env_fallback(capsys, monkeypatch):
-    argv = ("simulate", "--kind", "qutrit", "--amplitudes", "[0.6,0,0.8]",
-            "--noise", "sampled", "--pairs", "100000")
-    monkeypatch.setenv("BIPHOTON_SEED", "77")
-    _, out_env, _ = run_cli(capsys, *argv)
-    monkeypatch.delenv("BIPHOTON_SEED")
-    _, out_flag, _ = run_cli(capsys, *argv, "--seed", "77")
-    assert out_env == out_flag
-
-
 # stdout SHA-256 of `coincidence/1` records of the README qutrit and the CI
 # ququart, in both frames, ideal and sampled
 _SEED_1 = ("--noise", "sampled", "--seed", "1")
@@ -466,6 +456,20 @@ def test_reconstruct_names_misspelt_setting(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "'VV|V'" in err and "foreign to a qutrit" in err
+    assert "Traceback" not in err
+
+
+def test_reconstruct_unknown_basis_exits_2(tmp_path, capsys):
+    # each record is checked on its own before the pair is, so an unknown
+    # basis is malformed input, as an unknown mode is
+    paths = write_records(tmp_path, qutrit.make_qutrit(0.8, 0.36j, 0.48))
+    doc = json.loads(Path(paths[0]).read_text())
+    doc["basis"] = "foo"
+    Path(paths[0]).write_text(json.dumps(doc) + "\n")
+    code, out, err = run_cli(capsys, "reconstruct", *paths)
+    assert code == 2
+    assert out == ""
+    assert "basis 'foo'" in err
     assert "Traceback" not in err
 
 
@@ -692,16 +696,11 @@ def test_out_of_range_flags_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, seed_env, message", [
-    (["quantify", "--family", "psi_phi", "--param", "0.1,0.2"], None, "at most 1 parameter"),
-    (["quantify", "--family", "psi_phi", "--amplitudes", "[1,0,0]"], None, "not both"),
-    (["simulate", "--amplitudes", "[1,0,0]", "--noise", "sampled"], "seven", "BIPHOTON_SEED"),
+@pytest.mark.parametrize("argv, message", [
+    (["quantify", "--family", "psi_phi", "--param", "0.1,0.2"], "at most 1 parameter"),
+    (["quantify", "--family", "psi_phi", "--amplitudes", "[1,0,0]"], "not both"),
 ])
-def test_bad_state_or_seed_input_exits_2(capsys, monkeypatch, argv, seed_env, message):
-    if seed_env is None:
-        monkeypatch.delenv("BIPHOTON_SEED", raising=False)
-    else:
-        monkeypatch.setenv("BIPHOTON_SEED", seed_env)
+def test_bad_state_or_seed_input_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -57,6 +57,12 @@ def test_complex_from_json_rejects_bool():
         jsonio.complex_from_json(True)
 
 
+def test_finite_number_rejects_an_integer_too_large_for_a_float():
+    # math.isfinite raises OverflowError on such an integer
+    with pytest.raises(ValueError, match="count must be a finite number"):
+        jsonio.finite_number(10**400, "count")
+
+
 def test_csv_cell_round_trips():
     for x in (1 / 3, 0.1, -7.25, 1e-300):
         assert float(jsonio.csv_cell(x)) == x

@@ -42,6 +42,11 @@ def test_basis_wavefunctions_orthonormal():
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
 
+def test_basis_wavefunction_rejects_an_unknown_label():
+    with pytest.raises(ValueError, match="unknown basis label 'XY'"):
+        ququart.basis_wavefunction("XY")
+
+
 def test_wavefunction_basis_state_and_support():
     s = ququart.make_ququart(1, 0, 0, 0)
     assert np.allclose(ququart.wavefunction(s), ququart.basis_wavefunction("HH"))

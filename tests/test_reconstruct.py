@@ -172,6 +172,18 @@ def test_merge_estimates_validation():
         reconstruct.merge_estimates(nat, reconstruct.magnitudes_from_record(s_rec))
 
 
+def test_merge_estimates_states_the_record_pair_contract():
+    nat, rot = map(reconstruct.magnitudes_from_record,
+                   ideal_records(qutrit.make_qutrit(0.6, 0.3, 0.8)))
+    with pytest.raises(ValueError, match="one natural and one rotated45 record, got two natural"):
+        reconstruct.merge_estimates(nat, nat)
+    with pytest.raises(ValueError, match="got two rotated45"):
+        reconstruct.merge_estimates(rot, rot)
+    s_rec, _ = ideal_records(ququart.make_ququart(1, 0, 0, 0))
+    with pytest.raises(ValueError, match="different state kinds, qutrit and ququart"):
+        reconstruct.merge_estimates(nat, reconstruct.magnitudes_from_record(s_rec))
+
+
 def test_phase_solvers_need_both_bases_and_their_own_kind():
     rec_n, _ = ideal_records(qutrit.make_qutrit(0.6, 0.3, 0.8))
     with pytest.raises(reconstruct.IncompleteRecord):

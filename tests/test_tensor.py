@@ -83,6 +83,16 @@ def test_partial_trace_bad_dimension():
         tensor.partial_trace(np.eye(4) / 4, 3)
 
 
+def test_partial_trace_rejects_a_non_square_matrix():
+    with pytest.raises(tensor.BadDimension, match=r"must be square, got shape \(4, 2\)"):
+        tensor.partial_trace(np.zeros((4, 2)), 2)
+
+
+def test_partial_trace_rejects_an_unknown_photon():
+    with pytest.raises(ValueError, match="which must be 'first' or 'second'"):
+        tensor.partial_trace(np.eye(4) / 4, 2, which="third")
+
+
 def test_partial_trace_16_dim():
     psi = random_state(16)
     red = tensor.partial_trace(np.outer(psi, psi.conj()), 4)
@@ -294,3 +304,8 @@ def test_equal_up_to_global_phase():
     psi = random_state(4)
     assert tensor.equal_up_to_global_phase(psi, psi * np.exp(0.7j))
     assert not tensor.equal_up_to_global_phase(psi, random_state(4))
+
+
+def test_equal_up_to_global_phase_rejects_a_zero_vector():
+    with pytest.raises(tensor.BadDimension, match="zero vector has no phase"):
+        tensor.equal_up_to_global_phase(np.zeros(4), random_state(4))
