@@ -25,6 +25,7 @@ waits; give it < /dev/null there.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -39,9 +40,12 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_CONTRACT = 4
 
-# a sweep holds its rows in memory; on a 2-vCPU Xeon VM _sweep_rows takes
-# 6 to 7 us per row, and main 10 to 14 us per row at 10^4 rows and about
-# 20 us at 101 rows, where building the parser (about 1 ms) is half of it
+# a sweep holds its columns and its CSV text in memory: at 10^6 rows
+# `biphoton sweep` peaks at 450 to 520 MB resident.  On a 2-vCPU Xeon VM
+# _sweep_rows takes 0.7 to 1.4 us per row at 10^4 and 10^5 rows, and main
+# about 4 us per row, most of it the CSV's float repr; a grid-101 sweep
+# takes 0.5 to 0.9 ms in main, and main's first call in a process about
+# 0.9 ms more to build the parser
 MAX_GRID = 10**6
 
 
@@ -285,33 +289,33 @@ def cmd_reconstruct(args):
 
 
 def _sweep_rows(family, grid_n):
+    """The figure's header and columns: the family parameter, K, C or C_I
+    and S_r, from one quantify_many call on the family's amplitudes."""
     if not 2 <= grid_n <= MAX_GRID:
         raise InputError(f"--grid must lie in [2, {MAX_GRID}]")
-    rows = []
     if family == "fig1":
-        header = ("c_plus", "K", "C", "S_r")
-        for c_plus in np.linspace(-1.0, 1.0, grid_n):
-            c2 = math.sqrt(max(0.0, 1.0 - c_plus * c_plus))
-            state = qutrit.from_bell(
-                qutrit.BellCoefficients(c_plus=float(c_plus), c_minus=0.0, c2=c2)
-            )
-            rep = qutrit.quantify(state)
-            rows.append((float(c_plus), rep.schmidt_k, rep.concurrence, rep.entropy))
+        # from_bell of (C+, 0, sqrt(1 - C+^2)): C1 = C3 = C+/sqrt(2)
+        c_plus = np.linspace(-1.0, 1.0, grid_n)
+        c13 = c_plus / qutrit.SQRT2
+        c2 = np.sqrt(np.maximum(0.0, 1.0 - c_plus * c_plus))
+        rep = qutrit.quantify_many(np.stack([c13, c2, c13], axis=1))
+        return ("c_plus", "K", "C", "S_r"), (c_plus, rep.schmidt_k, rep.concurrence, rep.entropy)
+    phi = np.linspace(0.0, math.pi, grid_n)
+    # math's cos and sin, as the family builders take them
+    cos = np.fromiter(map(math.cos, phi.tolist()), float, grid_n)
+    sin = np.fromiter(map(math.sin, phi.tolist()), float, grid_n)
+    if family == "fig4":
+        zero = np.zeros(grid_n)
+        amps = [cos, zero, zero, sin]  # family_psi_phi
     else:
-        header = ("phi", "K", "C_I", "S_r")
-        build = _FAMILIES["psi_phi" if family == "fig4" else "psi_phi_prime"][2]
-        for phi in np.linspace(0.0, math.pi, grid_n):
-            rep = ququart.quantify(build(float(phi)))
-            rows.append((float(phi), rep.schmidt_k, rep.i_concurrence, rep.entropy))
-    return header, rows
+        half = np.full(grid_n, 0.5)
+        amps = [cos / qutrit.SQRT2, half, half, sin / qutrit.SQRT2]  # family_psi_phi_prime
+    rep = ququart.quantify_many(np.stack(amps, axis=1))
+    return ("phi", "K", "C_I", "S_r"), (phi, rep.schmidt_k, rep.i_concurrence, rep.entropy)
 
 
 def cmd_sweep(args):
-    header, rows = _sweep_rows(args.family, args.grid)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(jsonio.csv_cell(x) for x in row))
-    text = "\n".join(lines) + "\n"
+    text = jsonio.csv_text(*_sweep_rows(args.family, args.grid))
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -374,10 +378,15 @@ def build_parser():
     return parser
 
 
+# built on main's first call and kept for later calls in the same process:
+# each parse_args call fills a fresh namespace, and a failed parse changes
+# nothing in the parser
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         code = e.code if e.code is not None else 0
         return code if isinstance(code, int) else EXIT_INPUT

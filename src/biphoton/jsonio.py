@@ -20,9 +20,14 @@ def format_float(x):
     return "%.17g" % x
 
 
-def csv_cell(x):
-    """Shortest round-trip decimal form of a float for CSV output."""
-    return repr(float(x))
+def csv_text(header, columns):
+    """CSV text of float columns under a header line, one line per row.
+
+    Each cell is the shortest round-trip decimal form of its float, repr's.
+    """
+    row = ",".join(["%r"] * len(header))
+    cells = zip(*[np.asarray(c, dtype=float).tolist() for c in columns])
+    return "\n".join([",".join(header), *map(row.__mod__, cells)]) + "\n"
 
 
 # what json.dumps calls for a str, without its encoder set-up on every call

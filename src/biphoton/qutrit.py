@@ -24,6 +24,8 @@ ConsistencyError rather than returning silently wrong numbers.
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -267,6 +269,35 @@ def quantify(q):
     return EntanglementReport(k, c, _entropy(lam_p, lam_m, 2), lam_p, lam_m)
 
 
+def quantify_many(amps):
+    """Array form of quantify: the quantifiers of n qutrits in one pass.
+
+    amps holds one unit-norm qutrit (C1, C2, C3) per row, shape (n, 3),
+    real or complex; a row off unit norm by more than 1e-9, or with a
+    non-finite part, raises ValueError naming it.  The EntanglementReport
+    that comes back holds (n,) arrays.  The closed forms are quantify's, and
+    so is the call-time check of K against 1/Tr(rho_r^2), rho_r = M M^dagger
+    of every row's 2x2 amplitude matrix; a row that fails it raises
+    ConsistencyError naming it.  Real rows give quantify's values bit for
+    bit, complex rows agree within 1e-14: numpy's complex products round
+    differently from Python's.
+    """
+    a = _rows(amps, 3, "qutrit")
+    c1, c2, c3 = a.T
+    # concurrence and _block_purity take columns as they take numbers
+    c = concurrence(SimpleNamespace(c1=c1, c2=c2, c3=c3))
+    k = 2.0 / (2.0 - c * c)
+    m01 = c2 / SQRT2
+    _check_close_many(k, 1.0 / _block_purity(c1, m01, m01, c3),
+                      "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}")
+    # _polarization_vector, with its squares element by element
+    cross = c1 * c2.conjugate() + c2 * c3.conjugate()
+    p = _degree_p_many(SQRT2 * cross.real, -SQRT2 * cross.imag,
+                       _squares(abs(c1)) - _squares(abs(c3)))
+    lam_p, lam_m = _spectrum_many(p, 4.0 * _squares(c / 2.0), 2)
+    return EntanglementReport(k, c, _entropy_many(lam_p, lam_m, 2), lam_p, lam_m)
+
+
 # sigma_y x sigma_y on the product basis; the minus signs sit on the
 # (HH, VV) corner entries
 _SPIN_FLIP = np.array(
@@ -440,6 +471,67 @@ def _entropy(hi, lo, d):
     # + 0.0 turns the -0.0 of a pure state into 0.0; float() keeps the
     # entropy a Python float where numpy-scalar amplitudes make lo a numpy one
     return float(-acc) + 0.0
+
+
+# The array forms of the helpers above, behind both kinds' quantify_many.
+# They take each value as the scalar helper does; where numpy would round
+# otherwise (its square is x * x, libm's pow(x, 2) is not always that, and
+# nested hypots are not math.hypot of three values), they go element by
+# element through the scalar operation.
+
+def _rows(amps, width, kind):
+    # amps as an (n, width) float or complex array of unit-norm rows, or
+    # ValueError naming the first row that is not one
+    a = np.asarray(amps)
+    a = a.astype(complex if np.iscomplexobj(a) else float)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{kind} amplitudes must have shape (n, {width}), got {a.shape}")
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{kind} amplitudes must be finite, got row {i}: {a[i].tolist()!r}")
+    with np.errstate(over="ignore"):
+        n = (abs(a) ** 2).sum(axis=1)
+    bad = np.flatnonzero(~(abs(n - 1.0) <= 1e-9))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{kind} amplitudes of row {i} have squared norm {float(n[i])!r}; "
+                         f"use make_{kind}")
+    return a
+
+
+def _squares(x):
+    # x ** 2 of every element in Python float arithmetic
+    return np.fromiter(map(pow, x.tolist(), repeat(2)), float, x.size)
+
+
+def _degree_p_many(x, y, z):
+    # _degree_p of the vectors (x, y, z), one per element
+    p = np.fromiter(map(math.hypot, x.tolist(), y.tolist(), z.tolist()), float, x.size)
+    return np.where(p < 1.0, p, 1.0)
+
+
+def _spectrum_many(p, gap, d):
+    # _spectrum of every element
+    hi = (1.0 + p) / d
+    lo = gap / (d * (1.0 + p))
+    return hi, np.where(lo < hi, lo, hi)
+
+
+def _entropy_many(hi, lo, d):
+    # _entropy of every element, with the same numpy log2; lo * log2(lo) is
+    # hi's term where lo == hi, and 0 * log2(1) = 0 where lo is 0
+    a = hi * np.log2(hi)
+    b = lo * np.log2(np.where(lo > 0.0, lo, 1.0))
+    return -(a + b if d == 2 else a + a + b + b) + 0.0
+
+
+def _check_close_many(x, y, message):
+    # _check_close of every element; the first row that fails is named
+    bad = np.flatnonzero(abs(x - y) > ORACLE_TOL)
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(f"row {i}: " + message.format(float(x[i]), float(y[i])))
 
 
 def polarization(q):

@@ -88,6 +88,35 @@ def test_schmidt_rebuild_check_fires(monkeypatch, module, state):
         module.schmidt_decompose(state)
 
 
+def shifted_row(monkeypatch, module, name, row):
+    # one row of an array helper's output off by OFF
+    original = getattr(module, name)
+
+    def shift(*args):
+        out = np.array(original(*args))
+        out[row] += OFF
+        return out
+
+    monkeypatch.setattr(module, name, shift)
+
+
+@pytest.mark.parametrize("module, state, name, message", [
+    (qutrit, QUTRIT, "concurrence", "closed-form K"),
+    (qutrit, QUTRIT, "_block_purity", "closed-form K"),
+    (ququart, QUQUART, "_pair_determinant", "closed-form K"),
+    (ququart, QUQUART, "_reduced_purity", "closed-form K"),
+    (ququart, QUQUART, "_degree_p_many", r"K\(D\)=.* disagrees with K\(P_h\)"),
+], ids=["qutrit-concurrence", "qutrit-purity", "ququart-determinant", "ququart-purity",
+        "ququart-degree"])
+def test_batched_check_fires_on_one_row_and_names_it(monkeypatch, module, state, name, message):
+    # each side of each check of quantify_many, on one row of nine copies
+    amps = np.tile(state.amplitudes, (9, 1))
+    module.quantify_many(amps)
+    shifted_row(monkeypatch, module, name, 5)
+    with pytest.raises(ConsistencyError, match=f"^row 5: {message}"):
+        module.quantify_many(amps)
+
+
 # the function behind each kind's M M^dagger K: Tr(rho_r^2) of the qutrit's
 # one 2x2 block, and of the ququart's two blocks summed
 ORACLES = {qutrit: "_block_purity", ququart: "_reduced_purity"}

@@ -306,12 +306,20 @@ def _sweep_reference(family, grid):
     return "phi,K,C_I,S_r", rows
 
 
-@pytest.mark.parametrize("family", ["fig1", "fig4", "fig5"])
-def test_sweep_rows_are_the_family_quantifiers(capsys, family):
-    code, out, err = run_cli(capsys, "sweep", "--family", family, "--grid", "101")
+# grids of 1000 and 10001 rows reach past every SIMD block length, so the
+# vector sqrt and log2 of the array quantifiers meet the scalar bits on
+# every leg; grid 101 keeps the family's name as its id
+_SWEEP_GRIDS = [(family, grid) for family in ("fig1", "fig4", "fig5")
+                for grid in (2, 3, 101, 1000, 10001)]
+
+
+@pytest.mark.parametrize("family, grid", _SWEEP_GRIDS,
+                         ids=[f if g == 101 else f"{f}-{g}" for f, g in _SWEEP_GRIDS])
+def test_sweep_rows_are_the_family_quantifiers(capsys, family, grid):
+    code, out, err = run_cli(capsys, "sweep", "--family", family, "--grid", str(grid))
     assert code == 0, err
-    header, rows = _sweep_reference(family, 101)
-    want = [header] + [",".join(jsonio.csv_cell(x) for x in row) for row in rows]
+    header, rows = _sweep_reference(family, grid)
+    want = [header] + [",".join(repr(float(x)) for x in row) for row in rows]
     assert out.splitlines() == want
 
 
@@ -751,3 +759,31 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def fresh_run(capsys, *argv):
+    # the call as the first of a process: on a parser built for it alone
+    cli._parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+def test_main_calls_share_no_parser_state(capsys):
+    flagged = ["quantify", "--family", "psi_phi", "--param", "0.3", "--dump-density"]
+    bare = ["quantify", "--family", "psi_phi"]
+    unparsable = ["quantify", "--family", "psi_phi", "--param"]
+    want_flagged, want_bare = fresh_run(capsys, *flagged), fresh_run(capsys, *bare)
+    assert want_flagged[0] == want_bare[0] == 0
+    assert "density_matrix" in want_flagged[1] and "density_matrix" not in want_bare[1]
+    want_unparsable = fresh_run(capsys, *unparsable)
+    assert want_unparsable[0] == 2 and want_unparsable[1] == ""
+    cli._parser.cache_clear()
+    # each call after every other, the failing parse included
+    for first, second, want in [(flagged, bare, want_bare), (unparsable, bare, want_bare),
+                                (bare, flagged, want_flagged), (unparsable, flagged, want_flagged),
+                                (flagged, unparsable, want_unparsable)]:
+        run_cli(capsys, *first)
+        assert run_cli(capsys, *second) == want, (first, second)
+    assert cli._parser.cache_info().misses == 1

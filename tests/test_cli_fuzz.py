@@ -102,6 +102,7 @@ argvs = st.one_of(
     st.tuples(
         st.sampled_from(["fig1", "fig4", "fig5", "fig2"]),
         # sizes beyond the --grid bound are drawn too; valid ones stay small
+        # here, and run to a few thousand in the sweep property below
         st.one_of(st.integers(-3, 20), st.integers(cli.MAX_GRID + 1, 10**30)),
     ).map(lambda t: ["sweep", "--family", t[0], "--grid", str(t[1])]),
     st.lists(st.text(max_size=8), max_size=4),
@@ -162,3 +163,11 @@ def test_cli_contract_over_argv(argv):
 @given(record_lines(), st.sampled_from([["reconstruct"], ["simulate", "--amplitudes", "[1,0,0]"]]))
 def test_cli_contract_over_record_stdin(stdin, argv):
     check_contract(argv, stdin)
+
+
+@FUZZ
+@given(st.sampled_from(["fig1", "fig4", "fig5"]), st.integers(2, 4096))
+def test_cli_contract_over_sweep_grids(family, grid):
+    # valid grids up to a few thousand rows: the array quantifiers' lengths
+    # end on every SIMD remainder
+    check_contract(["sweep", "--family", family, "--grid", str(grid)])

@@ -63,9 +63,14 @@ def test_finite_number_rejects_an_integer_too_large_for_a_float():
         jsonio.finite_number(10**400, "count")
 
 
-def test_csv_cell_round_trips():
-    for x in (1 / 3, 0.1, -7.25, 1e-300):
-        assert float(jsonio.csv_cell(x)) == x
+def test_csv_text_round_trips():
+    xs = [1 / 3, 0.1, -7.25, 1e-300]
+    text = jsonio.csv_text(("x", "y"), (xs, np.array(xs[::-1])))
+    lines = text.split("\n")
+    assert lines[0] == "x,y" and lines[-1] == "" and len(lines) == len(xs) + 2
+    for line, x, y in zip(lines[1:], xs, xs[::-1]):
+        assert [float(v) for v in line.split(",")] == [x, y]
+        assert line == f"{x!r},{y!r}"
 
 
 # ---------------------------------------------------------------------------
