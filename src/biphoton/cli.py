@@ -40,13 +40,14 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_CONTRACT = 4
 
-# a sweep holds its columns and its CSV text in memory: at 10^6 rows
-# `biphoton sweep` peaks at 450 to 520 MB resident.  On a 2-vCPU Xeon VM
-# _sweep_rows takes 0.7 to 1.4 us per row at 10^4 and 10^5 rows, and main
-# about 4 us per row, most of it the CSV's float repr; a grid-101 sweep
-# takes 0.5 to 0.9 ms in main, and main's first call in a process about
-# 0.9 ms more to build the parser
+# On a 2-vCPU Xeon VM _sweep_rows takes 0.7 to 1.4 us per row at 10^4 and
+# 10^5 rows, and main about 4 us per row, most of it the CSV's float repr; a
+# grid-101 sweep takes 0.5 to 0.9 ms in main, and main's first call in a
+# process about 0.9 ms more to build the parser
 MAX_GRID = 10**6
+# a sweep computes, formats and writes this many rows at a time, so only
+# the grid itself grows with --grid
+SWEEP_BLOCK = 65536
 
 
 class InputError(Exception):
@@ -288,43 +289,55 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
-def _sweep_rows(family, grid_n):
-    """The figure's header and columns: the family parameter, K, C or C_I
-    and S_r, from one quantify_many call on the family's amplitudes."""
+def _sweep_grid(family, grid_n):
+    """The figure's header and its parameter grid, taken in full."""
     if not 2 <= grid_n <= MAX_GRID:
         raise InputError(f"--grid must lie in [2, {MAX_GRID}]")
     if family == "fig1":
+        return ("c_plus", "K", "C", "S_r"), np.linspace(-1.0, 1.0, grid_n)
+    return ("phi", "K", "C_I", "S_r"), np.linspace(0.0, math.pi, grid_n)
+
+
+def _sweep_rows(family, x, first_row):
+    """The columns of the rows at grid values x: the family parameter, K, C
+    or C_I and S_r, from one quantify_many call on the family's amplitudes;
+    a failing check names its row of the whole grid."""
+    if family == "fig1":
         # from_bell of (C+, 0, sqrt(1 - C+^2)): C1 = C3 = C+/sqrt(2)
-        c_plus = np.linspace(-1.0, 1.0, grid_n)
-        c13 = c_plus / qutrit.SQRT2
-        c2 = np.sqrt(np.maximum(0.0, 1.0 - c_plus * c_plus))
-        rep = qutrit.quantify_many(np.stack([c13, c2, c13], axis=1))
-        return ("c_plus", "K", "C", "S_r"), (c_plus, rep.schmidt_k, rep.concurrence, rep.entropy)
-    phi = np.linspace(0.0, math.pi, grid_n)
+        c13 = x / qutrit.SQRT2
+        c2 = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+        rep = qutrit.quantify_many(np.stack([c13, c2, c13], axis=1), first_row=first_row)
+        return x, rep.schmidt_k, rep.concurrence, rep.entropy
     # math's cos and sin, as the family builders take them
-    cos = np.fromiter(map(math.cos, phi.tolist()), float, grid_n)
-    sin = np.fromiter(map(math.sin, phi.tolist()), float, grid_n)
+    cos = np.fromiter(map(math.cos, x.tolist()), float, len(x))
+    sin = np.fromiter(map(math.sin, x.tolist()), float, len(x))
     if family == "fig4":
-        zero = np.zeros(grid_n)
+        zero = np.zeros(len(x))
         amps = [cos, zero, zero, sin]  # family_psi_phi
     else:
-        half = np.full(grid_n, 0.5)
+        half = np.full(len(x), 0.5)
         amps = [cos / qutrit.SQRT2, half, half, sin / qutrit.SQRT2]  # family_psi_phi_prime
-    rep = ququart.quantify_many(np.stack(amps, axis=1))
-    return ("phi", "K", "C_I", "S_r"), (phi, rep.schmidt_k, rep.i_concurrence, rep.entropy)
+    rep = ququart.quantify_many(np.stack(amps, axis=1), first_row=first_row)
+    return x, rep.schmidt_k, rep.i_concurrence, rep.entropy
+
+
+def _write_sweep(out, family, header, grid):
+    out.write(",".join(header) + "\n")
+    for start in range(0, len(grid), SWEEP_BLOCK):
+        out.write(jsonio.csv_rows(_sweep_rows(family, grid[start:start + SWEEP_BLOCK], start)))
 
 
 def cmd_sweep(args):
-    text = jsonio.csv_text(*_sweep_rows(args.family, args.grid))
+    header, grid = _sweep_grid(args.family, args.grid)
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                _write_sweep(fh, args.family, header, grid)
         except OSError as e:
             print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(text)
+        _write_sweep(sys.stdout, args.family, header, grid)
     return EXIT_OK
 
 

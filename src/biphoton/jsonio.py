@@ -20,14 +20,19 @@ def format_float(x):
     return "%.17g" % x
 
 
-def csv_text(header, columns):
-    """CSV text of float columns under a header line, one line per row.
+def csv_rows(columns):
+    """CSV lines of float columns, one per row, each ending in a newline.
 
     Each cell is the shortest round-trip decimal form of its float, repr's.
     """
-    row = ",".join(["%r"] * len(header))
+    row = ",".join(["%r"] * len(columns)) + "\n"
     cells = zip(*[np.asarray(c, dtype=float).tolist() for c in columns])
-    return "\n".join([",".join(header), *map(row.__mod__, cells)]) + "\n"
+    return "".join(map(row.__mod__, cells))
+
+
+def csv_text(header, columns):
+    """CSV text of float columns under a header line, as csv_rows writes them."""
+    return ",".join(header) + "\n" + csv_rows(columns)
 
 
 # what json.dumps calls for a str, without its encoder set-up on every call

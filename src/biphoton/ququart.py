@@ -248,7 +248,7 @@ def quantify(s):
     return QuquartReport(k, math.sqrt(1.0 + 2.0 * d), _entropy(hi, lo, 4), (hi, hi, lo, lo))
 
 
-def quantify_many(amps):
+def quantify_many(amps, *, first_row=0):
     """Array form of quantify: the quantifiers of n ququarts in one pass.
 
     amps holds one unit-norm ququart (C1, C2, C3, C4) per row, shape (n, 4),
@@ -257,25 +257,27 @@ def quantify_many(amps):
     comes back holds (n,) arrays, and lambdas an (n, 4) array.  The closed
     forms are quantify's, and so are the call-time checks of K against
     1/Tr(rho_r^2), rho_r = M M^dagger, and against K(P_h) = 4/(1 + P_h^2);
-    a row that fails one raises ConsistencyError naming it.  Real rows give
-    quantify's values bit for bit, complex rows agree within 1e-14: numpy's
-    complex products round differently from Python's.
+    a row that fails one raises ConsistencyError naming it.  Errors count
+    rows from first_row, so a caller passing one block of a larger array
+    names rows of the whole.  Real rows give quantify's values bit for bit,
+    complex rows agree within 1e-14: numpy's complex products round
+    differently from Python's.
     """
-    a = _rows(amps, 4, "ququart")
+    a = _rows(amps, 4, "ququart", first_row)
     c1, c2, c3, c4 = a.T
     # _pair_determinant and _reduced_purity take columns as they take numbers
     cols = SimpleNamespace(c1=c1, c2=c2, c3=c3, c4=c4)
     d = _squares(abs(_pair_determinant(cols)))
     k = 2.0 / (1.0 - 2.0 * d)
     _check_close_many(k, 1.0 / _reduced_purity(cols),
-                      "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}")
+                      "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}", first_row)
     # _high_photon_state, with its squares element by element
     h = _squares(abs(c1)) + _squares(abs(c2))
     v = _squares(abs(c3)) + _squares(abs(c4))
     x = c1 * c3.conjugate() + c2 * c4.conjugate()
     p = _degree_p_many(2.0 * x.real, -2.0 * x.imag, h - v)
     _check_close_many(k, 4.0 / (1.0 + p * p),
-                      "K(D)={!r} disagrees with K(P_h) = 4/(1 + P_h^2) = {!r}")
+                      "K(D)={!r} disagrees with K(P_h) = 4/(1 + P_h^2) = {!r}", first_row)
     hi, lo = _spectrum_many(p, 4.0 * d, 4)
     return QuquartReport(k, np.sqrt(1.0 + 2.0 * d), _entropy_many(hi, lo, 4),
                          np.stack([hi, hi, lo, lo], axis=1))

@@ -269,7 +269,7 @@ def quantify(q):
     return EntanglementReport(k, c, _entropy(lam_p, lam_m, 2), lam_p, lam_m)
 
 
-def quantify_many(amps):
+def quantify_many(amps, *, first_row=0):
     """Array form of quantify: the quantifiers of n qutrits in one pass.
 
     amps holds one unit-norm qutrit (C1, C2, C3) per row, shape (n, 3),
@@ -278,18 +278,19 @@ def quantify_many(amps):
     that comes back holds (n,) arrays.  The closed forms are quantify's, and
     so is the call-time check of K against 1/Tr(rho_r^2), rho_r = M M^dagger
     of every row's 2x2 amplitude matrix; a row that fails it raises
-    ConsistencyError naming it.  Real rows give quantify's values bit for
-    bit, complex rows agree within 1e-14: numpy's complex products round
-    differently from Python's.
+    ConsistencyError naming it.  Errors count rows from first_row, so a
+    caller passing one block of a larger array names rows of the whole.
+    Real rows give quantify's values bit for bit, complex rows agree within
+    1e-14: numpy's complex products round differently from Python's.
     """
-    a = _rows(amps, 3, "qutrit")
+    a = _rows(amps, 3, "qutrit", first_row)
     c1, c2, c3 = a.T
     # concurrence and _block_purity take columns as they take numbers
     c = concurrence(SimpleNamespace(c1=c1, c2=c2, c3=c3))
     k = 2.0 / (2.0 - c * c)
     m01 = c2 / SQRT2
     _check_close_many(k, 1.0 / _block_purity(c1, m01, m01, c3),
-                      "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}")
+                      "closed-form K={!r} disagrees with 1/Tr(rho_r^2) K={!r}", first_row)
     # _polarization_vector, with its squares element by element
     cross = c1 * c2.conjugate() + c2 * c3.conjugate()
     p = _degree_p_many(SQRT2 * cross.real, -SQRT2 * cross.imag,
@@ -479,9 +480,9 @@ def _entropy(hi, lo, d):
 # nested hypots are not math.hypot of three values), they go element by
 # element through the scalar operation.
 
-def _rows(amps, width, kind):
+def _rows(amps, width, kind, first_row=0):
     # amps as an (n, width) float or complex array of unit-norm rows, or
-    # ValueError naming the first row that is not one
+    # ValueError naming the first row that is not one, counted from first_row
     a = np.asarray(amps)
     a = a.astype(complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[1] != width:
@@ -489,14 +490,15 @@ def _rows(amps, width, kind):
     bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"{kind} amplitudes must be finite, got row {i}: {a[i].tolist()!r}")
+        raise ValueError(f"{kind} amplitudes must be finite, got row {first_row + i}: "
+                         f"{a[i].tolist()!r}")
     with np.errstate(over="ignore"):
         n = (abs(a) ** 2).sum(axis=1)
     bad = np.flatnonzero(~(abs(n - 1.0) <= 1e-9))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"{kind} amplitudes of row {i} have squared norm {float(n[i])!r}; "
-                         f"use make_{kind}")
+        raise ValueError(f"{kind} amplitudes of row {first_row + i} have squared norm "
+                         f"{float(n[i])!r}; use make_{kind}")
     return a
 
 
@@ -526,12 +528,14 @@ def _entropy_many(hi, lo, d):
     return -(a + b if d == 2 else a + a + b + b) + 0.0
 
 
-def _check_close_many(x, y, message):
-    # _check_close of every element; the first row that fails is named
+def _check_close_many(x, y, message, first_row=0):
+    # _check_close of every element; the first row that fails is named,
+    # counted from first_row
     bad = np.flatnonzero(abs(x - y) > ORACLE_TOL)
     if bad.size:
         i = bad[0]
-        raise ConsistencyError(f"row {i}: " + message.format(float(x[i]), float(y[i])))
+        raise ConsistencyError(f"row {first_row + i}: "
+                               + message.format(float(x[i]), float(y[i])))
 
 
 def polarization(q):

@@ -10,7 +10,10 @@ a (natural, rotated45) record pair into magnitude estimates and solves those
 equations for the phases.  Closed forms give every candidate root: +-acos
 branches, and for a ququart the 8 roots of a degree-4 trigonometric
 polynomial, the product of a circle condition over both branches of the
-curve one equation draws in two phase differences.  Damped Gauss-Newton
+curve one equation draws in two phase differences.  That product is real,
+and even in the curve's angle, since conjugating every phase keeps every
+magnitude; so five real samples fix it as a cosine series, and its roots
+come from a real companion matrix.  Damped Gauss-Newton
 steps then polish the candidates on the full equations, fitting noisy
 records in the least-squares sense.  Ququart records polish only the
 candidates that start near a root, when some candidate starts at one: for
@@ -832,12 +835,13 @@ def _raise_nonconvergence(err, flag):
 
 
 def _roots(p):
-    """np.roots of a 1-d complex array, bit for bit, with less set-up.
+    """np.roots of a 1-d real or complex array, bit for bit, with less set-up.
 
     The same zero trimming and companion matrix go to the stacked kernel
     behind np.linalg.eigvals, under the wrapper's checks: a non-finite
     companion raises LinAlgError before it, and so does a kernel that does
-    not converge.
+    not converge.  A real companion takes the kernel's real loop (d->D),
+    and its roots come back real when all of them are, as np.roots' do.
     """
     nonzero = np.flatnonzero(p)
     if not len(nonzero):
@@ -852,19 +856,63 @@ def _roots(p):
         with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
                          divide="ignore", under="ignore"):
             roots = _eigvals(a)
+        if not np.iscomplexobj(p) and not roots.imag.any():
+            roots = roots.real
     if last + 1 < len(p):
         # each trailing zero is a root at 0
         roots = np.concatenate([roots, np.zeros(len(p) - 1 - last, roots.dtype)])
     return roots
 
 
-# _curve_roots' grid of t and its cosine, the grid twice over (once for d
-# and once for -d), and the harmonics 4 down to -4 that are the
-# coefficients of z^4 H(z)
-_T_GRID = np.arange(16) * (TWO_PI / 16)
-_COS_T_GRID = np.cos(_T_GRID)
-_T_GRID_TWICE = np.concatenate([_T_GRID, _T_GRID])
-_HARMONICS = np.arange(4, -5, -1)
+# cos(n pi / 4) for n = 0..7, with its zeros exact
+_COS_EIGHTHS = (1.0, math.sqrt(0.5), 0.0, -math.sqrt(0.5), -1.0, -math.sqrt(0.5), 0.0,
+                math.sqrt(0.5))
+# _curve_roots' samples t_j = j pi / 4 (j = 0..4), as (cos t_j, sin t_j)
+_T_SAMPLES = tuple((_COS_EIGHTHS[j], _COS_EIGHTHS[(j - 2) % 8]) for j in range(5))
+# the DCT-I of H(t) = sum_k c_k cos(k t) at those samples: the row of k takes
+# the H(t_j) to c_0 (k = 0) or c_k / 2, the coefficients of z^(4 -+ k) in
+# z^4 H(z), z = e^(it), so the rows run k = 4..0..4, down the powers of z
+_DCT_I = np.array([[(0.5 if j in (0, 4) else 1.0) * _COS_EIGHTHS[j * k % 8]
+                    / (8.0 if k == 4 else 4.0) for j in range(5)]
+                   for k in (4, 3, 2, 1, 0, 1, 2, 3, 4)])
+
+
+def _curve_harmonics(m, rhs):
+    """free, a, b and the coefficients of z^4 H(z), from five real samples.
+
+    Along the e2 curve a cos t + b cos d = N2 (t the phase difference with
+    the smaller coefficient a), the circle gap of _w_system is
+    G0 + G1 sin d, with sin^2 d = 1 - cos^2 d where it is squared.  Their
+    product over d and -d, H = G0^2 - G1^2 sin^2 d, is real also where d
+    leaves the real torus (cos d outside [-1, 1]), and it is even in t:
+    conjugating every phase, (t, d) -> (-t, -d), keeps every magnitude and
+    so the gap.  H is a cosine series of degree 4, so five samples over
+    [0, pi] fix it.
+    """
+    m1, m2, m3, m4 = m.tolist()
+    n1, n2, n3 = rhs.tolist()
+    coef = (m1 * m2, m3 * m4)
+    free = int(coef[1] < coef[0])
+    a, b = coef[free], coef[1 - free]
+    # adj(M) N = (c, s) and det(M) = dt sin t + dd sin d, with the products
+    # of the t slot and of the d slot swapped when t is v = p3 - p4
+    p, q = m1 * m3 * n3, m2 * m4 * n3
+    r, s = m1 * m4 * n1, m2 * m3 * n1
+    dt, dd = m1 * m2 * (m3 * m3 - m4 * m4), m3 * m4 * (m2 * m2 - m1 * m1)
+    if free:
+        r, s, dt, dd = s, r, dd, dt
+    h = []
+    for ct, st in _T_SAMPLES:
+        x = (n2 - a * ct) / b
+        sin2 = 1.0 - x * x
+        # each of c, s and det is its sin d-free part plus sin d times a slope
+        c0, c1 = st * (s - q * x), q * ct - r
+        s0, s1 = p - s * ct + (q * ct - r) * x, q * st
+        d0 = dt * st
+        g0 = c0 * c0 + s0 * s0 - d0 * d0 + (c1 * c1 + s1 * s1 - dd * dd) * sin2
+        g1 = 2.0 * (c0 * c1 + s0 * s1 - d0 * dd)
+        h.append(g0 * g0 - g1 * g1 * sin2)
+    return free, a, b, _DCT_I @ h
 
 
 def _curve_roots(m, rhs):
@@ -872,23 +920,15 @@ def _curve_roots(m, rhs):
 
     Let t be the angle of the smaller coefficient a of e2 and d the other,
     cos d = (N2 - a cos t) / b.  The circle gap is quadratic in the first
-    harmonics of u and v, so its product over d and -d is even in sin d: a
-    trigonometric polynomial H(t) of degree 4.  Sixteen samples fix it, with
-    d complex where the curve leaves the real torus; the gap is taken in one
-    pass over 32 samples, t with d and then t with -d.  The arguments of all
-    8 roots of z^4 H(z) come back with both signs of the real d; roots off
-    the unit circle are kept, because noise moves near-tangencies there.
+    harmonics of u and v, so its product H(t) over d and -d is even in
+    sin d: a trigonometric polynomial of degree 4, and a real, even one,
+    since conjugating every phase keeps every magnitude.  _curve_harmonics
+    takes its coefficients from five real samples; the arguments of all 8
+    roots of z^4 H(z), a real palindromic polynomial, come back with both
+    signs of the real d.  Roots off the unit circle are kept, because noise
+    moves near-tangencies there.
     """
-    m = m.tolist()
-    coef = (m[0] * m[1], m[2] * m[3])
-    free = int(coef[1] < coef[0])
-    a, b = coef[free], coef[1 - free]
-    d = np.arccos((rhs[1] - a * _COS_T_GRID) / b + 0j)
-    d = np.concatenate([d, -d])
-    uv = (_T_GRID_TWICE, d) if free == 0 else (d, _T_GRID_TWICE)
-    _, _, (c, s), det = _w_system(m, rhs, *uv)
-    gap = c * c + s * s - det * det
-    h = np.fft.fft((gap[:16] * gap[16:]).real)[_HARMONICS]
+    free, a, b, h = _curve_harmonics(m, rhs)
     t = np.angle(_roots(h)) if np.isfinite(h).all() else np.zeros(0)
     d = _acos((rhs[1] - a * np.cos(t)) / b)
     t, d = np.concatenate([t, t]), np.concatenate([d, -d])

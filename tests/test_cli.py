@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from biphoton import cli, jsonio, measurement, ququart, qutrit
+from biphoton.tensor import ConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +322,33 @@ def test_sweep_rows_are_the_family_quantifiers(capsys, family, grid):
     header, rows = _sweep_reference(family, grid)
     want = [header] + [",".join(repr(float(x)) for x in row) for row in rows]
     assert out.splitlines() == want
+
+
+@pytest.mark.parametrize("family", ["fig1", "fig4", "fig5"])
+def test_sweep_blocks_write_the_bytes_of_one_block(capsys, monkeypatch, family):
+    # a sweep of blocks of 7 rows, against the same grid in one block
+    want = run_cli(capsys, "sweep", "--family", family, "--grid", "101")
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    assert run_cli(capsys, "sweep", "--family", family, "--grid", "101") == want
+
+
+def test_sweep_check_names_its_row_of_the_whole_grid(capsys, monkeypatch):
+    # the third block of 10 rows fails its check on its row 5: row 25 of the
+    # grid
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 10)
+    calls, purity = [], qutrit._block_purity
+
+    def shifted(*args):
+        out = np.array(purity(*args))
+        calls.append(len(out))
+        if len(calls) == 3:
+            out[5] += 1e-6
+        return out
+
+    monkeypatch.setattr(qutrit, "_block_purity", shifted)
+    with pytest.raises(ConsistencyError, match="^row 25: closed-form K"):
+        cli.main(["sweep", "--family", "fig1", "--grid", "101"])
+    assert calls == [10, 10, 10]
 
 
 def test_sweep_writes_file(tmp_path, capsys):
